@@ -25,14 +25,16 @@ import argparse
 import copy
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, datasets, flows, metrics, oracle, training
-from .errors import ConfigError, FormatError, NumericError
+from .errors import (ConfigError, DegenerateDataError, DimensionError, FormatError,
+                     GridError, NumericError)
 from .flows import FlowConfig
-from .methods import METHODS, fit_method
+from .methods import METHODS, fit_method, one_vs_rest
 from .training import TrainConfig
 
 
@@ -42,7 +44,7 @@ from .training import TrainConfig
 DEFAULTS: dict[str, dict] = {
     "toy1d": {
         "seed": 0,
-        "reps": 1,
+        "out": None,
         "n_train": 20000,
         "n_contrastive": 20000,
         "inlier": {"mean": [0.0], "sd": [1.0]},
@@ -55,6 +57,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "toy2d": {
         "seed": 0,
+        "out": None,
         "n_train": 8000,
         "n_contrastive": 8000,
         "inlier_mean": [1.0, 1.0],
@@ -68,6 +71,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "clamp-sweep": {
         "seed": 0,
+        "out": None,
         "epsilons": [0.0, -2.0, -6.0, -20.0],
         "n_train": 20000,
         "n_contrastive": 20000,
@@ -80,6 +84,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "mu-sweep": {
         "seed": 0,
+        "out": None,
         "reps": 3,
         "variant": "contaminated",
         "mu_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
@@ -94,24 +99,9 @@ DEFAULTS: dict[str, dict] = {
         "train": {"batch_size": 512, "lr": 1e-3, "max_epochs": 60,
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
-    "informed": {
-        "seed": 0,
-        "reps": 3,
-        "variant": "informed",
-        "mu_grid": [0.5, 1.0],
-        "methods": ["cf"],
-        "contrastive_total": 2000,
-        "bench": {"dim": 8, "seed": 7, "hard_angle": 0.25, "radius": 2.0,
-                  "cluster_sd": 0.5, "broad_sd": 2.0, "n_train": 2000,
-                  "n_test": 500, "n_pool": 4000,
-                  "inlier_path": None, "hard_path": None,
-                  "rest_path": None, "broad_path": None},
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
-        "train": {"batch_size": 512, "lr": 1e-3, "max_epochs": 60,
-                  "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
-    },
     "tabular": {
         "seed": 0,
+        "out": None,
         "data_path": None,
         "methods": ["nll_flow", "cf", "flow_ratio"],
         "synthetic": {"dim": 6, "n_inlier": 4000, "n_outlier": 400,
@@ -123,6 +113,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "train": {
         "seed": 0,
+        "out": None,
         "data_path": None,
         "contrastive_path": None,
         "objective": "contrastive",
@@ -132,8 +123,9 @@ DEFAULTS: dict[str, dict] = {
         "train": {"batch_size": 256, "lr": 1e-3, "max_epochs": 50,
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 0.0},
     },
-    "score": {"model_path": None, "data_path": None, "scores_out": "scores.csv"},
+    "score": {"out": None, "model_path": None, "data_path": None, "scores_out": "scores.csv"},
     "eval": {
+        "out": None,
         "inlier_scores": None,
         "outlier_scores": None,
         "paired_a": None,
@@ -146,6 +138,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "report": {
         "seed": 0,
+        "out": None,
         "class_paths": None,
         "contrastive_path": None,
         "methods": ["cf"],
@@ -158,6 +151,8 @@ DEFAULTS: dict[str, dict] = {
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
 }
+DEFAULTS["informed"] = dict(copy.deepcopy(DEFAULTS["mu-sweep"]), variant="informed",
+                            mu_grid=[0.5, 1.0], methods=["cf"])
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -183,10 +178,7 @@ def load_config(kind: str, path: str | None, overrides: dict) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         cfg = _merge(cfg, user)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    return _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
 
 
 def _train_config(cfg: dict, **extra) -> TrainConfig:
@@ -233,6 +225,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_density(path: Path, gd: oracle.GridDensity) -> None:
+    header = ["x", "y"][:gd.ndim] + ["density"]
+    _write_csv(path, header, np.column_stack([oracle.grid_points(gd.axes), gd.values.ravel()]))
+
+
 # ---------------------------------------------------------------------------
 # toy experiments
 
@@ -259,10 +256,10 @@ def run_toy1d(cfg: dict) -> dict:
     p, q, grid = _toy1d_parts(cfg)
     pbar = oracle.positive_difference(p, q, grid)
     model, history = _train_toy1d(cfg, cfg["epsilon"], cfg["seed"])
-    learned = oracle.model_density_on_grid(model, grid)
+    learned = oracle.model_density_on_grid(partial(flows.log_prob, model), grid)
     tv = oracle.tv_distance(learned, pbar)
-    learned.save_csv(out / "learned_density.csv")
-    pbar.save_csv(out / "oracle_density.csv")
+    _write_density(out / "learned_density.csv", learned)
+    _write_density(out / "oracle_density.csv", pbar)
     result = {
         "tv": tv,
         "oracle_integral": pbar.integral(),
@@ -271,7 +268,7 @@ def run_toy1d(cfg: dict) -> dict:
         "seed": cfg["seed"],
     }
     _write_json(out / "tv.json", result)
-    history.save_json(out / "history.json")
+    _write_json(out / "history.json", history.to_json_dict())
     return result
 
 
@@ -279,12 +276,12 @@ def run_clamp_sweep(cfg: dict) -> list[dict]:
     out = _out_dir(cfg)
     p, q, grid = _toy1d_parts(cfg)
     pbar = oracle.positive_difference(p, q, grid)
-    p_density = oracle.GridDensity(grid, oracle.density_values(p, pbar.points()).reshape(pbar.values.shape))
+    p_density = oracle.GridDensity(grid, oracle.density_values(p, oracle.grid_points(grid)))
     results = []
     for k, eps in enumerate(cfg["epsilons"]):
         model, _ = _train_toy1d(cfg, eps, cfg["seed"])
-        learned = oracle.model_density_on_grid(model, grid)
-        learned.save_csv(out / f"learned_density_eps{k}.csv")
+        learned = oracle.model_density_on_grid(partial(flows.log_prob, model), grid)
+        _write_density(out / f"learned_density_eps{k}.csv", learned)
         results.append({
             "epsilon": eps,
             "tv_pbar": oracle.tv_distance(learned, pbar),
@@ -310,13 +307,12 @@ def run_toy2d(cfg: dict) -> dict:
     training.train(flow_contr, con, None, _train_config(cfg, seed=seed + 2, objective="nll"))
 
     grid = oracle.grid_2d(cfg["grid"]["lo"], cfg["grid"]["hi"], cfg["grid"]["n"])
-    pts = oracle.GridDensity(grid, np.zeros((len(grid[0]), len(grid[1])))).points()
     # exponential of the in-distribution score (= exp(log p) for the CF model,
     # exp(log p_in - log p_contr) for the ratio method)
-    cf_vals = np.exp(flows.log_prob(cf, pts)).reshape(len(grid[0]), len(grid[1]))
-    ratio_vals = np.exp(-baselines.ratio_score(flow_in, flow_contr, pts)).reshape(cf_vals.shape)
-    oracle.GridDensity(grid, cf_vals).save_csv(out / "cf_grid.csv")
-    oracle.GridDensity(grid, ratio_vals).save_csv(out / "ratio_grid.csv")
+    _write_density(out / "cf_grid.csv",
+                   oracle.model_density_on_grid(partial(flows.log_prob, cf), grid))
+    _write_density(out / "ratio_grid.csv", oracle.model_density_on_grid(
+        lambda x: -baselines.ratio_score(flow_in, flow_contr, x), grid))
 
     n_scatter = cfg["n_scatter"]
     rows = []
@@ -452,7 +448,7 @@ def run_tabular(cfg: dict) -> dict:
         s_in = fitted.score(test_in.data)
         s_out = fitted.score(outliers.data)
         sr = metrics.ScoreReport(m, s_in, s_out)
-        sr.save_json(out / f"scores_{m}.json")
+        _write_json(out / f"scores_{m}.json", sr.to_json_dict())
         report[m] = {"auroc": sr.auroc, "auroc_pct": 100.0 * sr.auroc}
     _write_json(out / "tabular_report.json", report)
     return report
@@ -476,7 +472,7 @@ def run_train(cfg: dict) -> dict:
     model = flows.build_model(inl.dim, _flow_config(cfg), cfg["seed"])
     model, history = training.train(model, inl, contr, tc)
     flows.save_model(model, out / cfg["model_out"])
-    history.save_json(out / cfg["history_out"])
+    _write_json(out / cfg["history_out"], history.to_json_dict())
     return {"model": str(out / cfg["model_out"]), "epochs": len(history.train_loss),
             "best_epoch": history.best_epoch}
 
@@ -502,21 +498,11 @@ def run_score(cfg: dict) -> dict:
 
 
 def _read_score_file(path) -> tuple[np.ndarray, np.ndarray | None]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "score":
-            raise FormatError(f"{path}: expected a 'score' column first")
-        has_label = len(header) > 1 and header[1] == "label"
-        scores, labels = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            scores.append(float(parts[0]))
-            if has_label:
-                labels.append(int(parts[1]))
-    return np.array(scores), (np.array(labels) if has_label else None)
+    """Scores and optional labels of a CSV written by `cnflow score`."""
+    fs = datasets.load_features(path, "csv")
+    if fs.dim != 1:
+        raise FormatError(f"{path}: expected one score column, got {fs.dim}")
+    return fs.data[:, 0], fs.labels
 
 
 def run_eval(cfg: dict) -> dict:
@@ -539,8 +525,9 @@ def run_eval(cfg: dict) -> dict:
         b, _ = _read_score_file(cfg["paired_b"])
         result["wilcoxon_p"] = metrics.wilcoxon_signed_rank(a, b)
     _write_json(out / cfg["report_out"], result)
-    sr.save_roc_csv(out / cfg["roc_out"])
-    sr.save_histogram_csv(out / cfg["hist_out"])
+    _write_csv(out / cfg["roc_out"], ["fpr", "tpr"], sr.roc)
+    _write_csv(out / cfg["hist_out"], ["edge", "count_in", "count_out"],
+               zip(sr.hist_edges, sr.hist_inlier, sr.hist_outlier))
     return result
 
 
@@ -570,10 +557,16 @@ def run_report(cfg: dict) -> dict:
     summary = {}
     per_method_means = {}
     for m in cfg["methods"]:
-        result = metrics.one_vs_rest(class_sets, m, tc, contrastive,
-                                     root_seed=seed, test_fraction=cfg["test_fraction"],
-                                     class_names=names, flow_config=fc)
-        result.to_csv(out / f"confusion_{m}.csv")
+        result = one_vs_rest(class_sets, m, tc, contrastive, root_seed=seed,
+                             test_fraction=cfg["test_fraction"], class_names=names,
+                             flow_config=fc)
+        rows = []
+        for i, name in enumerate(names):
+            cells = [f"{100.0 * v:.2f}" for v in result.matrix[i]]
+            cells.insert(i, "")  # no AUROC of a class against itself
+            rows.append([name, *cells, f"{100.0 * result.row_means[i]:.2f}"])
+        _write_csv(out / f"confusion_{m}.csv",
+                   ["inlier", *(f"vs_{n}" for n in names), "mean"], rows)
         per_method_means[m] = result.row_means
         summary[m] = {
             "row_means_pct": [100.0 * v for v in result.row_means],
@@ -624,16 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "out": args.out, "reps": args.reps}
+    methods = None if args.method is None else args.method.split(",")
+    overrides = {"seed": args.seed, "out": args.out, "reps": args.reps, "methods": methods}
     try:
         cfg = load_config(args.kind, args.config, overrides)
-        if args.method is not None:
-            if "methods" not in DEFAULTS[args.kind]:
-                raise ConfigError(f"{args.kind} does not take --method")
-            cfg["methods"] = args.method.split(",")
         result = RUNNERS[args.kind](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (DimensionError, DegenerateDataError, GridError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

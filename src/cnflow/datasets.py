@@ -24,6 +24,7 @@ Array = np.ndarray
 LABEL_INLIER = 0
 LABEL_OUTLIER = 1
 LABEL_CONTRASTIVE = 2
+LABEL_CODES = (LABEL_INLIER, LABEL_OUTLIER, LABEL_CONTRASTIVE)
 
 _MAGIC = b"CFTR"
 _VERSION = 1
@@ -222,7 +223,9 @@ def load_features(path, format: str | None = None) -> FeatureSet:
                 lab = fh.read(n)
                 if len(lab) != n:
                     raise FormatError("label payload shorter than header promises")
-                labels = np.frombuffer(lab, dtype=np.uint8).astype(np.int8)
+                labels = np.frombuffer(lab, dtype=np.uint8)
+                if np.any(labels > LABEL_CONTRASTIVE):
+                    raise FormatError(f"label bytes outside the codes {LABEL_CODES}")
         if not np.all(np.isfinite(data)):
             raise DegenerateDataError("feature file contains non-finite entries")
         return FeatureSet(data.reshape(n, dim), labels, str(path))
@@ -244,12 +247,13 @@ def load_features(path, format: str | None = None) -> FeatureSet:
             if len(parts) != len(names):
                 raise FormatError(f"line {line_no}: expected {len(names)} fields, got {len(parts)}")
             try:
-                vals = [float(v) for v in parts[:dim]]
+                rows.append([float(v) for v in parts[:dim]])
+                if has_labels:
+                    labels.append(int(parts[-1]))
             except ValueError:
-                raise FormatError(f"line {line_no}: non-numeric feature value") from None
-            rows.append(vals)
-            if has_labels:
-                labels.append(int(parts[-1]))
+                raise FormatError(f"line {line_no}: non-numeric value") from None
+            if has_labels and labels[-1] not in LABEL_CODES:
+                raise FormatError(f"line {line_no}: label {labels[-1]} is not in {LABEL_CODES}")
         data = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
         if not np.all(np.isfinite(data)):
             raise DegenerateDataError("CSV contains non-finite entries")

@@ -82,10 +82,6 @@ class ParamStore:
         self.m[name] = np.zeros_like(value)
         self.v[name] = np.zeros_like(value)
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
     def accumulate(self, grads: dict[str, Array]) -> None:
         for name, g in grads.items():
             self.grads[name] += g

@@ -13,8 +13,9 @@ clamped log-scales and exp() never overflows.
 log_prob includes the -D/2 * log(2 pi) normalizing constant, so quadrature
 of exp(log_prob) over a covering grid is a meaningful normalization check.
 
-dim == 1 is a degenerate coupling: the conditioner set is empty and the
-raw log-scale and shift become directly learned per-block constants.
+dim == 1 is a degenerate coupling: the conditioner set is empty, and the
+subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
+bias) whose bias holds the learned raw log-scale and shift.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class CouplingBlock:
     inv_perm: Array
     d_cond: int
     d_trans: int
-    subnet: MlpSpec | None  # None in the dim == 1 constant mode
+    subnet: MlpSpec
     prefix: str
 
 
@@ -88,11 +89,10 @@ def init_model(dim: int, n_blocks: int = 8, hidden_width: int = 512,
         inv_perm = np.argsort(perm)
         prefix = f"blk{i}."
         if dim == 1:
-            store.register(prefix + "const", np.zeros(2))
-            subnet = None
+            subnet = MlpSpec(0, 2, n_hidden_layers=0)
         else:
             subnet = MlpSpec(d_cond, 2 * d_trans, hidden_width, n_hidden_layers, activation)
-            register_mlp(store, subnet, prefix, rng, zero_last=True)
+        register_mlp(store, subnet, prefix, rng, zero_last=True)
         blocks.append(CouplingBlock(i, perm, inv_perm, d_cond, d_trans, subnet, prefix))
     return FlowModel(dim, clamp_alpha, blocks, store, cfg, seed)
 
@@ -104,27 +104,29 @@ def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
 
 @dataclass
 class _BlockCache:
-    cond: Array
     trans_in: Array
-    s_raw: Array
-    s_eff: Array
+    th: Array        # tanh(raw log-scale / alpha)
     exp_s: Array
-    mlp_cache: MlpCache | None
+    mlp_cache: MlpCache
 
 
-def _subnet_out(model: FlowModel, block: CouplingBlock, cond: Array, n: int):
-    """Raw (s_raw | t) output of the conditioner, (n, 2 * d_trans)."""
-    if block.subnet is None:
-        const = model.store.params[block.prefix + "const"]
-        return np.broadcast_to(const, (n, 2)).copy(), None
-    return mlp_forward(model.store, block.subnet, cond, block.prefix)
+def _coupling(model: FlowModel, block: CouplingBlock, cond: Array):
+    """tanh(s_raw / alpha) and the shift t of the conditioner output; the
+    clamped log-scale is alpha * tanh(s_raw / alpha)."""
+    raw, mlp_cache = mlp_forward(model.store, block.subnet, cond, block.prefix)
+    th = np.tanh(raw[:, :block.d_trans] / model.clamp_alpha)
+    return th, raw[:, block.d_trans:], mlp_cache
+
+
+def _nll(model: FlowModel, z: Array, logdet: Array) -> Array:
+    """Per-sample NLL = ||z||^2 / 2 + D/2 log(2 pi) - logdet."""
+    return 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
 
 
 def _forward_pass(model: FlowModel, x: Array, want_cache: bool):
     x = as_batch(x, model.dim)
     if not np.all(np.isfinite(x)):
         raise NumericError("input batch contains non-finite values")
-    alpha = model.clamp_alpha
     z = x
     logdet = np.zeros(x.shape[0])
     caches: list[_BlockCache] = []
@@ -132,18 +134,15 @@ def _forward_pass(model: FlowModel, x: Array, want_cache: bool):
         u = z[:, block.perm]
         cond = u[:, :block.d_cond]
         trans = u[:, block.d_cond:]
-        raw, mlp_cache = _subnet_out(model, block, cond, u.shape[0])
-        s_raw = raw[:, :block.d_trans]
-        t = raw[:, block.d_trans:]
-        s_eff = alpha * np.tanh(s_raw / alpha)
+        th, t, mlp_cache = _coupling(model, block, cond)
+        s_eff = model.clamp_alpha * th
         exp_s = np.exp(s_eff)
-        out_trans = trans * exp_s + t
-        z = np.concatenate([cond, out_trans], axis=1)
+        z = np.concatenate([cond, trans * exp_s + t], axis=1)
         logdet = logdet + s_eff.sum(axis=1)
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite values after coupling block {block.index}")
         if want_cache:
-            caches.append(_BlockCache(cond, trans, s_raw, s_eff, exp_s, mlp_cache))
+            caches.append(_BlockCache(trans, th, exp_s, mlp_cache))
     return z, logdet, caches
 
 
@@ -156,7 +155,7 @@ def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
     z, logdet, _ = _forward_pass(model, x, want_cache=False)
-    return -0.5 * np.sum(z * z, axis=1) - 0.5 * model.dim * LOG_2PI + logdet
+    return -_nll(model, z, logdet)
 
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
@@ -166,9 +165,8 @@ def inverse(model: FlowModel, z, return_logdet: bool = False):
     for block in reversed(model.blocks):
         cond = x[:, :block.d_cond]
         trans = x[:, block.d_cond:]
-        raw, _ = _subnet_out(model, block, cond, x.shape[0])
-        s_eff = model.clamp_alpha * np.tanh(raw[:, :block.d_trans] / model.clamp_alpha)
-        t = raw[:, block.d_trans:]
+        th, t, _ = _coupling(model, block, cond)
+        s_eff = model.clamp_alpha * th
         back = (trans - t) * np.exp(-s_eff)
         u = np.concatenate([cond, back], axis=1)
         x = u[:, block.inv_perm]
@@ -191,26 +189,16 @@ def _backward_pass(model: FlowModel, caches: list[_BlockCache],
                    dz: Array, dld: Array) -> tuple[dict[str, Array], Array]:
     """Gradients of sum_i [dz_i . z_i-path + dld_i * logdet_i] w.r.t. all
     parameters and the input batch."""
-    alpha = model.clamp_alpha
     g = dz
     grads: dict[str, Array] = {}
     for block, cache in zip(reversed(model.blocks), reversed(caches)):
-        g_cond = g[:, :block.d_cond].copy()
         g_out = g[:, block.d_cond:]
-        d_trans_in = g_out * cache.exp_s
         d_s = g_out * cache.trans_in * cache.exp_s + dld[:, None]
-        d_t = g_out
-        sech2 = 1.0 - np.tanh(cache.s_raw / alpha) ** 2
-        d_raw = np.concatenate([d_s * sech2, d_t], axis=1)
-        if block.subnet is None:
-            key = block.prefix + "const"
-            grads[key] = grads.get(key, 0.0) + d_raw.sum(axis=0)
-        else:
-            sub_grads, g_cond_sub = mlp_backward(cache.mlp_cache, d_raw)
-            for name, val in sub_grads.items():
-                grads[name] = grads.get(name, 0.0) + val
-            g_cond += g_cond_sub
-        g_u = np.concatenate([g_cond, d_trans_in], axis=1)
+        d_raw = np.concatenate([d_s * (1.0 - cache.th ** 2), g_out], axis=1)
+        sub_grads, g_cond_sub = mlp_backward(cache.mlp_cache, d_raw)
+        for name, val in sub_grads.items():
+            grads[name] = grads.get(name, 0.0) + val
+        g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * cache.exp_s], axis=1)
         g_prev = np.empty_like(g_u)
         g_prev[:, block.perm] = g_u
         g = g_prev
@@ -228,22 +216,8 @@ def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, dict[str, Ar
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (z.shape[0],):
         raise DimensionError("weights must be one scalar per sample")
-    nll = 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
-    dz = weights[:, None] * z
-    dld = -weights
-    grads, _ = _backward_pass(model, caches, dz, dld)
-    return nll, grads
-
-
-def log_prob_backward(model: FlowModel, x) -> tuple[float, dict[str, Array]]:
-    """Mean NLL over the batch and its exact parameter gradients."""
-    x = as_batch(x, model.dim)
-    n = x.shape[0]
-    nll, grads = weighted_nll_grad(model, x, np.full(n, 1.0 / n))
-    loss = float(nll.mean())
-    if not math.isfinite(loss):
-        raise NumericError("mean NLL is non-finite")
-    return loss, grads
+    grads, _ = _backward_pass(model, caches, weights[:, None] * z, -weights)
+    return _nll(model, z, logdet), grads
 
 
 _MAGIC = b"CFLW"
@@ -263,8 +237,9 @@ def save_model(model: FlowModel, path) -> None:
                               cfg.hidden_width, model.clamp_alpha))
         for block in model.blocks:
             fh.write(block.perm.astype("<u4").tobytes())
-            for name in _block_param_names(model, block):
-                fh.write(np.ascontiguousarray(model.store.params[name], dtype="<f8").tobytes())
+            for name in block.subnet.param_names():
+                fh.write(np.ascontiguousarray(model.store.params[block.prefix + name],
+                                              dtype="<f8").tobytes())
 
 
 def load_model(path) -> FlowModel:
@@ -287,21 +262,15 @@ def load_model(path) -> FlowModel:
                 raise FormatError(f"block {block.index} permutation is not a bijection")
             block.perm = perm
             block.inv_perm = np.argsort(perm)
-            for name in _block_param_names(model, block):
-                target = model.store.params[name]
+            for name in block.subnet.param_names():
+                target = model.store.params[block.prefix + name]
                 raw = fh.read(8 * target.size)
                 if len(raw) != 8 * target.size:
-                    raise FormatError(f"truncated parameters for {name}")
+                    raise FormatError(f"truncated parameters for {block.prefix}{name}")
                 target[...] = np.frombuffer(raw, dtype="<f8").reshape(target.shape)
         if fh.read(1):
             raise FormatError("trailing bytes after model payload")
     return model
-
-
-def _block_param_names(model: FlowModel, block: CouplingBlock) -> list[str]:
-    if block.subnet is None:
-        return [block.prefix + "const"]
-    return [block.prefix + n for n in block.subnet.param_names()]
 
 
 def parameter_count(model: FlowModel) -> int:

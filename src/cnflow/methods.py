@@ -1,5 +1,6 @@
-"""Fit-and-score dispatch for the method names used across experiments:
-cf, cf_ft, nll_flow, flow_ratio, mse, mse_ratio."""
+"""Fit-and-score dispatch for the method names used across experiments
+(cf, cf_ft, nll_flow, flow_ratio, mse, mse_ratio) and the one-vs-rest
+driver built on it."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ from typing import Callable
 import numpy as np
 
 from . import baselines
-from .errors import ConfigError
+from .datasets import split
+from .errors import ConfigError, DegenerateDataError
 from .flows import FlowConfig, build_model
-from .metrics import outlier_score
+from .metrics import auroc, outlier_score
 from .training import TrainConfig, train
 
 Array = np.ndarray
 
 METHODS = ("cf", "cf_ft", "nll_flow", "flow_ratio", "mse", "mse_ratio")
 CONTRASTIVE_METHODS = ("cf", "cf_ft", "flow_ratio", "mse_ratio")
+# single-flow methods and the training objective of their flow
+FLOW_OBJECTIVES = {"nll_flow": "nll", "cf": "contrastive", "cf_ft": "cf_ft"}
 
 
 @dataclass
@@ -45,11 +49,6 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
     if name == "mse_ratio":
         model = baselines.fit_mse(train_in, contrastive)
         return FittedMethod(name, lambda x: baselines.mse_ratio_score(model, x), {"mse": model})
-    if name == "nll_flow":
-        flow = build_model(dim, flow_config, seed)
-        train(flow, train_in, contrastive, replace(cfg, objective="nll"),
-              val_contrastive_set=val_contrastive)
-        return FittedMethod(name, lambda x: outlier_score(flow, x), {"flow": flow})
     if name == "flow_ratio":
         # both component flows are plain density estimators with the same
         # validation-NLL stopping rule, so the degenerate case where both
@@ -60,8 +59,37 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
         train(flow_contr, contrastive, None, replace(cfg, objective="nll"))
         return FittedMethod(name, lambda x: baselines.ratio_score(flow_in, flow_contr, x),
                             {"flow_in": flow_in, "flow_contr": flow_contr})
-    objective = "contrastive" if name == "cf" else "cf_ft"
     flow = build_model(dim, flow_config, seed)
-    train(flow, train_in, contrastive, replace(cfg, objective=objective),
+    train(flow, train_in, contrastive, replace(cfg, objective=FLOW_OBJECTIVES[name]),
           val_contrastive_set=val_contrastive)
     return FittedMethod(name, lambda x: outlier_score(flow, x), {"flow": flow})
+
+
+@dataclass
+class OneVsRestResult:
+    class_names: list[str]
+    matrix: Array      # (k, k-1): row = inlier class, columns = other classes in order
+    row_means: Array   # (k,)
+
+
+def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
+                root_seed: int = 0, test_fraction: float = 0.2,
+                class_names=None, flow_config=None) -> OneVsRestResult:
+    """Train/fit once per inlier class and report the AUROC against each
+    other class plus the row mean."""
+    if len(class_sets) < 2:
+        raise DegenerateDataError("one_vs_rest needs at least 2 classes")
+    k = len(class_sets)
+    if class_names is None:
+        class_names = [f"class{i}" for i in range(k)]
+    matrix = np.zeros((k, k - 1))
+    means = np.zeros(k)
+    for i, inlier in enumerate(class_sets):
+        seed = root_seed + i
+        train_part, test_part = split(inlier, (1.0 - test_fraction, test_fraction), seed)
+        fitted = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
+        s_in = fitted.score(test_part.data)
+        others = [other for j, other in enumerate(class_sets) if j != i]
+        matrix[i] = [auroc(s_in, fitted.score(other.data)) for other in others]
+        means[i] = matrix[i].mean()
+    return OneVsRestResult(list(class_names), matrix, means)

@@ -1,5 +1,5 @@
-"""Outlier scoring and evaluation: AUROC, ROC curves, histograms,
-one-vs-rest drivers, and the one-sided Wilcoxon signed-rank test.
+"""Outlier scoring and evaluation: AUROC, ROC curves, histograms and the
+one-sided Wilcoxon signed-rank test.
 
 AUROC is the rank-based (Mann-Whitney) statistic: the fraction of
 (outlier, inlier) pairs where the outlier scores higher, ties counted
@@ -9,13 +9,13 @@ writing tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError
+from .flows import log_prob
 
 Array = np.ndarray
 
@@ -25,8 +25,6 @@ WILCOXON_EXACT_LIMIT = 20
 
 def outlier_score(model, x) -> Array:
     """Negative log density under the model; higher = more outlier."""
-    from .flows import log_prob
-
     return -log_prob(model, x)
 
 
@@ -165,73 +163,3 @@ class ScoreReport:
             "inlier_scores": self.inlier_scores.tolist(),
             "outlier_scores": self.outlier_scores.tolist(),
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def save_roc_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("fpr,tpr\n")
-            for f, t in self.roc:
-                fh.write(f"{f:.17g},{t:.17g}\n")
-
-    def save_histogram_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("edge,count_in,count_out\n")
-            for i in range(len(self.hist_inlier)):
-                fh.write(f"{self.hist_edges[i]:.17g},{self.hist_inlier[i]},{self.hist_outlier[i]}\n")
-
-
-@dataclass
-class OneVsRestResult:
-    class_names: list[str]
-    matrix: Array      # (k, k-1): row = inlier class, columns = other classes in order
-    row_means: Array   # (k,)
-
-    def to_csv(self, path) -> None:
-        k = len(self.class_names)
-        with open(path, "w") as fh:
-            fh.write("inlier," + ",".join(
-                f"vs_{name}" for name in self.class_names) + ",mean\n")
-            for i, name in enumerate(self.class_names):
-                cells = []
-                col = 0
-                for j in range(k):
-                    if j == i:
-                        cells.append("")
-                    else:
-                        cells.append(f"{100.0 * self.matrix[i, col]:.2f}")
-                        col += 1
-                fh.write(f"{name}," + ",".join(cells) + f",{100.0 * self.row_means[i]:.2f}\n")
-
-
-def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
-                root_seed: int = 0, test_fraction: float = 0.2,
-                class_names=None, flow_config=None) -> OneVsRestResult:
-    """Train/fit once per inlier class and report the AUROC against each
-    other class plus the row mean."""
-    from .datasets import split
-    from .methods import fit_method
-
-    if len(class_sets) < 2:
-        raise DegenerateDataError("one_vs_rest needs at least 2 classes")
-    k = len(class_sets)
-    if class_names is None:
-        class_names = [f"class{i}" for i in range(k)]
-    matrix = np.zeros((k, k - 1))
-    means = np.zeros(k)
-    for i, inlier in enumerate(class_sets):
-        seed = root_seed + i
-        train_part, test_part = split(inlier, (1.0 - test_fraction, test_fraction), seed)
-        fitted = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
-        s_in = fitted.score(test_part.data)
-        col = 0
-        for j, other in enumerate(class_sets):
-            if j == i:
-                continue
-            matrix[i, col] = auroc(s_in, fitted.score(other.data))
-            col += 1
-        means[i] = matrix[i].mean()
-    return OneVsRestResult(list(class_names), matrix, means)

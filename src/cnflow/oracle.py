@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -137,24 +137,14 @@ class GridDensity:
         inner = np.trapezoid(self.values, self.axes[1], axis=1)
         return float(np.trapezoid(inner, self.axes[0]))
 
-    def points(self) -> Array:
-        """Lattice points as an (n, D) array (row-major over the first axis)."""
-        if self.ndim == 1:
-            return self.axes[0][:, None]
-        xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            if self.ndim == 1:
-                fh.write("x,density\n")
-                for xv, dv in zip(self.axes[0], self.values):
-                    fh.write(f"{xv:.17g},{dv:.17g}\n")
-            else:
-                fh.write("x,y,density\n")
-                for i, xv in enumerate(self.axes[0]):
-                    for j, yv in enumerate(self.axes[1]):
-                        fh.write(f"{xv:.17g},{yv:.17g},{self.values[i, j]:.17g}\n")
+def grid_points(axes: tuple[Array, ...]) -> Array:
+    """Lattice points of a 1-D or 2-D grid as an (n, D) array, row-major
+    over the first axis (the order of values.ravel())."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def grid_1d(lo: float, hi: float, n: int = DEFAULT_GRID_POINTS) -> tuple[Array]:
@@ -183,11 +173,7 @@ def default_grid(p: DensitySpec, q: DensitySpec,
 
 
 def _lattice_values(source: DensitySpec, axes: tuple[Array, ...]) -> Array:
-    if len(axes) == 1:
-        return density_values(source, axes[0][:, None])
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return density_values(source, pts).reshape(len(axes[0]), len(axes[1]))
+    return density_values(source, grid_points(axes)).reshape([len(a) for a in axes])
 
 
 BOUNDARY_MASS_TOL = 1e-8
@@ -256,20 +242,14 @@ def tv_distance(a: GridDensity, b: GridDensity) -> float:
     return 0.5 * GridDensity(a.axes, np.abs(a.values - b.values)).integral()
 
 
-def model_density_on_grid(model, grid: tuple[Array, ...]) -> GridDensity:
-    """exp(log_prob) of a flow model on a 1-D or 2-D grid."""
-    from .flows import log_prob
-
+def model_density_on_grid(log_density: Callable[[Array], Array],
+                          grid: tuple[Array, ...]) -> GridDensity:
+    """exp(log_density) of a model on a 1-D or 2-D grid; log_density maps
+    an (n, D) batch to n log densities (e.g. partial(flows.log_prob, model))."""
     if len(grid) not in (1, 2):
         raise DimensionError("model_density_on_grid supports 1-D and 2-D grids only")
-    if len(grid) == 1:
-        pts = grid[0][:, None]
-        values = np.exp(log_prob(model, pts))
-    else:
-        xx, yy = np.meshgrid(grid[0], grid[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        values = np.exp(log_prob(model, pts)).reshape(len(grid[0]), len(grid[1]))
-    return GridDensity(grid, values)
+    values = np.exp(log_density(grid_points(grid)))
+    return GridDensity(grid, values.reshape([len(a) for a in grid]))
 
 
 def mixture_invariance_check(p: GaussianSpec, q: GaussianSpec, mu: float,

@@ -19,7 +19,6 @@ a plain NLL run with the same seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -78,11 +77,6 @@ class TrainHistory:
             "best_epoch": self.best_epoch,
             "stopped_early": self.stopped_early,
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _as_data(x) -> Array:

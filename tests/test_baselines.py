@@ -103,7 +103,7 @@ def test_ratio_hand_set_scale_difference():
     f_c = flows.init_model(1, n_blocks=1, seed=1)
     alpha = f_c.clamp_alpha
     raw = alpha * math.atanh(math.log(2.0) / alpha)
-    f_c.store.params["blk0.const"][...] = np.array([raw, 0.0])
+    f_c.store.params["blk0.b0"][...] = np.array([raw, 0.0])
     x = np.linspace(-2.0, 2.0, 9)[:, None]
     scores = ratio_score(f_in, f_c, x)
     # p_c(x) = N(x * 2; 0, 1) * 2 in density terms (z = x e^{s}, logdet = s)

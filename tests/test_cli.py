@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +263,75 @@ def test_eval_wilcoxon_between_paired_files(tmp_path):
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     # a uniformly exceeds b on 10 pairs: exact one-sided p is 2^-10
     assert report["wilcoxon_p"] == pytest.approx(1.0 / 1024.0, abs=0)
+
+
+def _bad_inputs(tmp_path):
+    """(argv, exit code) for inputs that once escaped as tracebacks."""
+    model = flows.init_model(2, n_blocks=1, hidden_width=4, seed=0)
+    flows.save_model(model, tmp_path / "m.cflw")
+    (tmp_path / "abc.csv").write_text("score\n1.0\nabc\n")
+    (tmp_path / "ok.csv").write_text("score\n2.0\n3.0\n")
+    (tmp_path / "label_x.csv").write_text("f0,f1,label\n1.0,2.0,x\n")
+    (tmp_path / "label_300.csv").write_text("f0,f1,label\n1.0,2.0,300\n")
+    (tmp_path / "nan.csv").write_text("f0,f1\n1.0,nan\n")
+    save_features(datasets.FeatureSet(np.ones((2, 2)), [0, 1]), tmp_path / "byte.cftr")
+    raw = (tmp_path / "byte.cftr").read_bytes()
+    (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
+    (tmp_path / "inl.csv").write_text("f0,f1\n1.0,2.0\n2.0,1.0\n")
+
+    def score(data):
+        return {"model_path": str(tmp_path / "m.cflw"), "data_path": str(tmp_path / data)}
+
+    return {
+        "eval_abc_cell": ("eval", {"inlier_scores": str(tmp_path / "abc.csv"),
+                                   "outlier_scores": str(tmp_path / "ok.csv")}, 3),
+        "label_x": ("score", score("label_x.csv"), 3),
+        "label_300": ("score", score("label_300.csv"), 3),
+        "label_byte_200": ("score", score("byte.cftr"), 3),
+        "nan_feature": ("score", score("nan.csv"), 2),
+        "zero_blocks": ("train", {"data_path": str(tmp_path / "inl.csv"),
+                                  "model": {"n_blocks": 0}}, 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["eval_abc_cell", "label_x", "label_300", "label_byte_200",
+                                  "nan_feature", "zero_blocks"])
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
+    kind, payload, code = _bad_inputs(tmp_path)[case]
+    rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, payload, name="bad.json"))])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["toy2d", "--reps", "2"], ["toy1d", "--reps", "2"],
+                                  ["toy1d", "--method", "cf"], ["score", "--seed", "1"]])
+def test_flag_a_subcommand_does_not_take_exit_code_2(tmp_path, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_out_config_key_and_flag_override(tmp_path):
+    (tmp_path / "in.csv").write_text("score\n1\n3\n")
+    (tmp_path / "out.csv").write_text("score\n2\n4\n")
+    payload = {"out": str(tmp_path / "from_config"),
+               "inlier_scores": str(tmp_path / "in.csv"),
+               "outlier_scores": str(tmp_path / "out.csv")}
+    assert run_cli(["eval", "--config", str(_write_cfg(tmp_path, payload))]) == 0
+    assert (tmp_path / "from_config" / "report.json").exists()
+    assert run_cli(["eval", "--config", str(_write_cfg(tmp_path, payload)),
+                    "--out", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "report.json").exists()
+
+
+def test_bench_layers_resolve_to_cnflow_callables():
+    # the benchmark's tracer wraps these functions by module attribute on
+    # every operation; a rename here would break its warm-up silently
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for mod_name, fn_name in spans.LAYERS:
+        module = importlib.import_module(f"cnflow.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"

@@ -245,3 +245,22 @@ def test_cluster_benchmark_shapes():
     # carries no norm signal
     for fs in (bench.inlier_test, bench.hard_test):
         assert abs(np.linalg.norm(fs.data.mean(axis=0)) - 2.0) < 0.2
+
+
+@settings(max_examples=50, deadline=None)
+@given(code=st.integers(-300, 300))
+def test_label_codes_outside_0_1_2_rejected(tmp_path_factory, code):
+    # both loaders accept exactly the documented label codes 0, 1, 2
+    root = tmp_path_factory.mktemp("labels")
+    paths = [root / "l.csv"]
+    paths[0].write_text(f"f0,label\n1.0,{code}\n")
+    if 0 <= code <= 255:
+        paths.append(root / "l.cftr")
+        save_features(FeatureSet(np.ones((1, 1)), [0]), paths[1])
+        paths[1].write_bytes(paths[1].read_bytes()[:-1] + bytes([code]))
+    for path in paths:
+        if code in (0, 1, 2):
+            assert load_features(path).labels.tolist() == [code]
+        else:
+            with pytest.raises(FormatError):
+                load_features(path)

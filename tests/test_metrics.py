@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import flows
+from cnflow import cli, flows
 from cnflow.errors import DegenerateDataError
 from cnflow.metrics import (ScoreReport, auroc, histogram, outlier_score,
                             roc_area, roc_curve, wilcoxon_signed_rank)
@@ -255,16 +255,16 @@ def test_score_report_fields(tmp_path):
     assert sum(d["histogram"]["count_inlier"]) == 100
     assert sum(d["histogram"]["count_outlier"]) == 80
     path = tmp_path / "report.json"
-    report.save_json(path)
+    cli._write_json(path, report.to_json_dict())
     assert path.exists()
-    report.save_roc_csv(tmp_path / "roc.csv")
+    cli._write_csv(tmp_path / "roc.csv", ["fpr", "tpr"], report.roc)
     header = (tmp_path / "roc.csv").read_text().splitlines()[0]
     assert header == "fpr,tpr"
 
 
 def test_one_vs_rest_separated_clusters():
     from cnflow.datasets import gen_gaussian
-    from cnflow.metrics import one_vs_rest
+    from cnflow.methods import one_vs_rest
     from cnflow.training import TrainConfig
 
     centers = [[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]]
@@ -277,7 +277,7 @@ def test_one_vs_rest_separated_clusters():
 
 def test_one_vs_rest_identical_clusters_near_chance():
     from cnflow.datasets import gen_gaussian
-    from cnflow.metrics import one_vs_rest
+    from cnflow.methods import one_vs_rest
     from cnflow.training import TrainConfig
 
     class_sets = [gen_gaussian([0.0, 0.0], 1.0, 1500, seed=20 + i) for i in range(2)]
@@ -287,7 +287,7 @@ def test_one_vs_rest_identical_clusters_near_chance():
 
 def test_one_vs_rest_needs_two_classes():
     from cnflow.datasets import gen_gaussian
-    from cnflow.metrics import one_vs_rest
+    from cnflow.methods import one_vs_rest
     from cnflow.training import TrainConfig
 
     with pytest.raises(DegenerateDataError):

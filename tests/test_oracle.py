@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cnflow import cli
 from cnflow.errors import DimensionError, GridError
 from cnflow.oracle import (GaussianSpec, GridDensity, default_grid,
                            density_values, difference_support_1d,
@@ -199,7 +200,7 @@ def test_grid_density_csv_roundtrip(tmp_path):
     grid = grid_1d(-2.0, 2.0, 11)
     gd = GridDensity(grid, np.linspace(0, 1, 11))
     path = tmp_path / "density.csv"
-    gd.save_csv(path)
+    cli._write_density(path, gd)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x,density"
     assert len(rows) == 12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cnflow import flows
+from cnflow import cli, flows
 from cnflow.datasets import gen_gaussian
 from cnflow.diffcore import finite_difference_grad
 from cnflow.errors import DegenerateDataError
@@ -212,7 +212,7 @@ def test_history_json_schema(tmp_path):
                       objective="contrastive", seed=13)
     _, history = train(flows.init_model(1, 2, 8, seed=6), inl, con, cfg)
     path = tmp_path / "history.json"
-    history.save_json(path)
+    cli._write_json(path, history.to_json_dict())
     payload = json.loads(path.read_text())
     assert list(payload.keys()) == ["epoch", "train_loss", "proxy_auroc",
                                     "best_epoch", "stopped_early"]

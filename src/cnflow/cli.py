@@ -34,7 +34,7 @@ from . import baselines, datasets, flows, metrics, oracle, training
 from .errors import (ConfigError, DegenerateDataError, DimensionError, FormatError,
                      GridError, NumericError)
 from .flows import FlowConfig
-from .methods import METHODS, fit_method, one_vs_rest
+from .methods import check_methods, fit_method, one_vs_rest
 from .training import TrainConfig
 
 
@@ -193,7 +193,7 @@ def _train_config(cfg: dict, **extra) -> TrainConfig:
 def _flow_config(cfg: dict) -> FlowConfig:
     try:
         return FlowConfig(**cfg.get("model", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model config: {exc}") from None
 
 
@@ -364,13 +364,11 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
     variant = cfg["variant"]
     if variant not in ("contaminated", "narrow", "informed"):
         raise ConfigError(f"unknown mu-sweep variant {variant!r}")
+    methods = cfg["methods"]
+    check_methods(methods)
     bench = _load_bench(cfg)
     fc = _flow_config(cfg)
     base_tc = _train_config(cfg, objective="contrastive")
-    methods = cfg["methods"]
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
     reps = int(cfg["reps"])
     root = int(cfg["seed"])
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
@@ -389,11 +387,11 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
                 if m == "nll_flow" and rep in nll_cache and mu != cfg["mu_grid"][0]:
                     per_method[m].append(nll_cache[rep])
                     continue
-                fitted = fit_method(m, bench.inlier_train, contr, base_tc,
-                                    rep_seed, fc, val_contrastive=bench.broad_val)
-                s_in = fitted.score(bench.inlier_test.data)
-                hard = metrics.auroc(s_in, fitted.score(bench.hard_test.data))
-                rest = metrics.auroc(s_in, fitted.score(bench.rest_test.data))
+                score = fit_method(m, bench.inlier_train, contr, base_tc,
+                                   rep_seed, fc, val_contrastive=bench.broad_val)
+                s_in = score(bench.inlier_test.data)
+                hard = metrics.auroc(s_in, score(bench.hard_test.data))
+                rest = metrics.auroc(s_in, score(bench.rest_test.data))
                 per_method[m].append((hard, rest))
                 if m == "nll_flow":
                     nll_cache[rep] = (hard, rest)
@@ -426,15 +424,14 @@ def _tabular_data(cfg: dict, seed: int):
     s = cfg["synthetic"]
     d = s["dim"]
     cov = np.full((d, d), s["correlation"]) + (1.0 - s["correlation"]) * np.eye(d)
-    inliers = datasets.gen_gaussian(np.zeros(d), cov, s["n_inlier"], seed + 31,
-                                    provenance="tabular_inliers")
-    outliers = datasets.gen_gaussian(np.zeros(d), s["outlier_sd"], s["n_outlier"],
-                                     seed + 32, provenance="tabular_outliers")
+    inliers = datasets.gen_gaussian(np.zeros(d), cov, s["n_inlier"], seed + 31)
+    outliers = datasets.gen_gaussian(np.zeros(d), s["outlier_sd"], s["n_outlier"], seed + 32)
     return inliers, outliers
 
 
 def run_tabular(cfg: dict) -> dict:
     out = _out_dir(cfg)
+    check_methods(cfg["methods"])
     seed = int(cfg["seed"])
     inliers, outliers = _tabular_data(cfg, seed)
     train_in, test_in = datasets.split(inliers, (1.0 - cfg["test_fraction"],
@@ -444,9 +441,9 @@ def run_tabular(cfg: dict) -> dict:
     tc = _train_config(cfg, objective="contrastive")
     report = {}
     for m in cfg["methods"]:
-        fitted = fit_method(m, train_in, contrastive, tc, seed, fc)
-        s_in = fitted.score(test_in.data)
-        s_out = fitted.score(outliers.data)
+        score = fit_method(m, train_in, contrastive, tc, seed, fc)
+        s_in = score(test_in.data)
+        s_out = score(outliers.data)
         sr = metrics.ScoreReport(m, s_in, s_out)
         _write_json(out / f"scores_{m}.json", sr.to_json_dict())
         report[m] = {"auroc": sr.auroc, "auroc_pct": 100.0 * sr.auroc}
@@ -533,6 +530,7 @@ def run_eval(cfg: dict) -> dict:
 
 def run_report(cfg: dict) -> dict:
     out = _out_dir(cfg)
+    check_methods(cfg["methods"])
     seed = int(cfg["seed"])
     if cfg["class_paths"]:
         class_sets = [datasets.load_features(p) for p in cfg["class_paths"]]
@@ -546,12 +544,11 @@ def run_report(cfg: dict) -> dict:
             raise ConfigError("synthetic report needs n_classes <= dim")
         class_sets = [
             datasets.gen_gaussian(s["radius"] * np.eye(d)[i], s["cluster_sd"],
-                                  s["n_per_class"], seed + 41 + i, provenance=f"class{i}")
+                                  s["n_per_class"], seed + 41 + i)
             for i in range(k)
         ]
         names = [f"class{i}" for i in range(k)]
-        contrastive = datasets.gen_gaussian(np.zeros(d), s["broad_sd"], s["n_broad"],
-                                            seed + 40, provenance="broad")
+        contrastive = datasets.gen_gaussian(np.zeros(d), s["broad_sd"], s["n_broad"], seed + 40)
     fc = _flow_config(cfg)
     tc = _train_config(cfg, objective="contrastive")
     summary = {}

@@ -1,7 +1,7 @@
 """Feature sets: synthetic generators, mixtures, normalization, file I/O.
 
 The FeatureSet is the data currency of the whole package: an (n, D)
-float64 matrix with optional per-sample labels and a provenance string.
+float64 matrix with optional per-sample labels.
 
 Binary feature file ("CFTR"), little-endian:
   magic "CFTR" | version u16 | D u32 | n u64 | flags u8 (bit0 = labels)
@@ -11,6 +11,7 @@ Label codes: 0 inlier, 1 outlier, 2 contrastive.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +36,6 @@ _HEADER = struct.Struct("<4sHIQB")
 class FeatureSet:
     data: Array
     labels: Array | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -58,10 +58,10 @@ class FeatureSet:
 
     def take(self, idx) -> "FeatureSet":
         labels = None if self.labels is None else self.labels[idx]
-        return FeatureSet(self.data[idx], labels, self.provenance)
+        return FeatureSet(self.data[idx], labels)
 
 
-def gen_gaussian(mean, scale, n: int, seed: int, provenance: str = "") -> FeatureSet:
+def gen_gaussian(mean, scale, n: int, seed: int) -> FeatureSet:
     """Seeded Gaussian sample; scale is a scalar/vector of sds or a covariance."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -86,9 +86,7 @@ def gen_gaussian(mean, scale, n: int, seed: int, provenance: str = "") -> Featur
         if np.any(scale <= 0):
             raise ValueError("std-devs must be positive")
         data = z * scale + mean
-    if not provenance:
-        provenance = f"gaussian(mean={mean.tolist()}, n={n}, seed={seed})"
-    return FeatureSet(data, None, provenance)
+    return FeatureSet(data)
 
 
 @dataclass
@@ -139,7 +137,7 @@ def mix_datasets(spec: MixSpec) -> FeatureSet:
     data = np.concatenate(parts, axis=0)
     lab = np.concatenate(labels)
     perm = rng.permutation(spec.total)
-    return FeatureSet(data[perm], lab[perm], f"mix(mu={spec.mu}, total={spec.total}, seed={spec.seed})")
+    return FeatureSet(data[perm], lab[perm])
 
 
 def hypersphere_normalize(fs: FeatureSet, noise_sigma: float = 0.01, seed: int = 0) -> FeatureSet:
@@ -152,7 +150,7 @@ def hypersphere_normalize(fs: FeatureSet, noise_sigma: float = 0.01, seed: int =
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         data = data + noise_sigma * rng.standard_normal(data.shape)
-    return FeatureSet(data, fs.labels, fs.provenance + "|sphere")
+    return FeatureSet(data, fs.labels)
 
 
 def permute_marginals(fs: FeatureSet, seed: int) -> FeatureSet:
@@ -164,7 +162,7 @@ def permute_marginals(fs: FeatureSet, seed: int) -> FeatureSet:
     data = np.empty_like(fs.data)
     for j in range(fs.dim):
         data[:, j] = fs.data[rng.permutation(fs.n), j]
-    return FeatureSet(data, None, fs.provenance + "|marginals")
+    return FeatureSet(data)
 
 
 def split(fs: FeatureSet, fractions: Sequence[float], seed: int) -> tuple[FeatureSet, ...]:
@@ -214,21 +212,21 @@ def load_features(path, format: str | None = None) -> FeatureSet:
                 raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
             if version != _VERSION:
                 raise FormatError(f"unsupported feature file version {version}")
-            payload = fh.read(4 * dim * n)
-            if len(payload) != 4 * dim * n:
-                raise FormatError("feature payload shorter than header promises")
-            data = np.frombuffer(payload, dtype="<f4").reshape(n, dim).astype(np.float64)
+            if dim < 1:
+                raise FormatError("feature file header declares no feature columns")
+            expected = _HEADER.size + 4 * dim * n + (n if flags & 1 else 0)
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise FormatError(f"feature file is {size} bytes, its header implies {expected}")
+            data = np.frombuffer(fh.read(4 * dim * n), dtype="<f4").reshape(n, dim).astype(np.float64)
             labels = None
             if flags & 1:
-                lab = fh.read(n)
-                if len(lab) != n:
-                    raise FormatError("label payload shorter than header promises")
-                labels = np.frombuffer(lab, dtype=np.uint8)
+                labels = np.frombuffer(fh.read(n), dtype=np.uint8)
                 if np.any(labels > LABEL_CONTRASTIVE):
                     raise FormatError(f"label bytes outside the codes {LABEL_CODES}")
         if not np.all(np.isfinite(data)):
             raise DegenerateDataError("feature file contains non-finite entries")
-        return FeatureSet(data.reshape(n, dim), labels, str(path))
+        return FeatureSet(data.reshape(n, dim), labels)
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -257,7 +255,7 @@ def load_features(path, format: str | None = None) -> FeatureSet:
         data = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
         if not np.all(np.isfinite(data)):
             raise DegenerateDataError("CSV contains non-finite entries")
-        return FeatureSet(data, np.array(labels, dtype=np.int8) if has_labels else None, str(path))
+        return FeatureSet(data, np.array(labels, dtype=np.int8) if has_labels else None)
 
 
 def _resolve_format(path, format: str | None) -> str:
@@ -301,22 +299,21 @@ def cluster_benchmark(dim: int = 8, seed: int = 0, radius: float = 2.0,
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(8)]
     n_rest_each = max(n_test // len(rest_centers), 1)
     rest_parts = [
-        gen_gaussian(c, cluster_sd, n_rest_each, seeds[5] + k, provenance=f"rest{k}").data
+        gen_gaussian(c, cluster_sd, n_rest_each, seeds[5] + k).data
         for k, c in enumerate(rest_centers)
     ]
     rest = FeatureSet(np.concatenate(rest_parts, axis=0),
-                      np.full(sum(len(p) for p in rest_parts), LABEL_OUTLIER, dtype=np.int8),
-                      "rest_clusters")
-    hard_pool = gen_gaussian(c_hard, cluster_sd, n_pool, seeds[3], provenance="hard_pool")
-    hard_pool = FeatureSet(hard_pool.data, np.full(n_pool, LABEL_OUTLIER, dtype=np.int8), "hard_pool")
-    inlier_train = gen_gaussian(c_in, cluster_sd, n_train, seeds[0], provenance="inlier_train")
+                      np.full(sum(len(p) for p in rest_parts), LABEL_OUTLIER, dtype=np.int8))
+    hard_pool = gen_gaussian(c_hard, cluster_sd, n_pool, seeds[3])
+    hard_pool = FeatureSet(hard_pool.data, np.full(n_pool, LABEL_OUTLIER, dtype=np.int8))
+    inlier_train = gen_gaussian(c_in, cluster_sd, n_train, seeds[0])
     return ClusterBenchmark(
         inlier_train=inlier_train,
         inlier_extra=inlier_train,
-        inlier_test=gen_gaussian(c_in, cluster_sd, n_test, seeds[2], provenance="inlier_test"),
+        inlier_test=gen_gaussian(c_in, cluster_sd, n_test, seeds[2]),
         hard_pool=hard_pool,
-        hard_test=gen_gaussian(c_hard, cluster_sd, n_test, seeds[4], provenance="hard_test"),
+        hard_test=gen_gaussian(c_hard, cluster_sd, n_test, seeds[4]),
         rest_test=rest,
-        broad_pool=gen_gaussian(np.zeros(dim), broad_sd, n_pool, seeds[6], provenance="broad_pool"),
-        broad_val=gen_gaussian(np.zeros(dim), broad_sd, n_test, seeds[7], provenance="broad_val"),
+        broad_pool=gen_gaussian(np.zeros(dim), broad_sd, n_pool, seeds[6]),
+        broad_val=gen_gaussian(np.zeros(dim), broad_sd, n_test, seeds[7]),
     )

@@ -3,7 +3,8 @@
 Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache, a central-difference gradient
-oracle for testing, and an in-place Adam step over a ParamStore.
+oracle for testing, and an in-place Adam step over a ParamStore that
+reads a gradient dict.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ class MlpSpec:
 
 @dataclass
 class ParamStore:
-    """Named parameter arrays with parallel gradient and Adam moment arrays."""
+    """Named parameter arrays with parallel Adam moment arrays."""
 
     params: dict[str, Array] = field(default_factory=dict)
-    grads: dict[str, Array] = field(default_factory=dict)
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
     step: int = 0
@@ -78,13 +78,8 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already registered")
         value = np.asarray(value, dtype=np.float64)
         self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
         self.m[name] = np.zeros_like(value)
         self.v[name] = np.zeros_like(value)
-
-    def accumulate(self, grads: dict[str, Array]) -> None:
-        for name, g in grads.items():
-            self.grads[name] += g
 
     def copy_params(self) -> dict[str, Array]:
         return {name: p.copy() for name, p in self.params.items()}
@@ -216,19 +211,20 @@ def finite_difference_grad(loss_fn: Callable[[], float], store: ParamStore,
     return out
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place Adam update with bias correction; zeroes gradients afterward."""
+def adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """In-place Adam update with bias correction from `grads`, which maps
+    every parameter name to its gradient; `grads` is only read."""
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("betas must lie in [0, 1)")
-    for name, g in store.grads.items():
-        if not np.all(np.isfinite(g)):
+    for name in store.params:
+        if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"non-finite gradient for {name!r}; parameters unchanged")
     t = store.step + 1
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for name, p in store.params.items():
-        g = store.grads[name]
+        g = grads[name]
         m = store.m[name]
         v = store.v[name]
         m *= beta1
@@ -236,5 +232,4 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
         v *= beta2
         v += (1.0 - beta2) * g * g
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        g[...] = 0.0
     store.step = t

@@ -21,6 +21,7 @@ bias) whose bias holds the learned raw log-scale and shift.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -43,6 +44,12 @@ class FlowConfig:
     activation: str = "relu"
     n_hidden_layers: int = 2
 
+    def __post_init__(self):
+        if self.n_blocks < 1:
+            raise DimensionError("n_blocks must be >= 1")
+        if not (math.isfinite(self.clamp_alpha) and self.clamp_alpha > 0):
+            raise ValueError("clamp_alpha must be positive and finite")
+
 
 @dataclass
 class CouplingBlock:
@@ -58,11 +65,9 @@ class CouplingBlock:
 @dataclass
 class FlowModel:
     dim: int
-    clamp_alpha: float
     blocks: list[CouplingBlock]
     store: ParamStore
     config: FlowConfig
-    seed: int
 
     @property
     def n_blocks(self) -> int:
@@ -72,34 +77,37 @@ class FlowModel:
 def init_model(dim: int, n_blocks: int = 8, hidden_width: int = 512,
                clamp_alpha: float = 3.0, seed: int = 0,
                activation: str = "relu", n_hidden_layers: int = 2) -> FlowModel:
-    """Deterministic model for a given seed; the subnetwork output layers
-    are zero-initialized so the initial map is the permutations only."""
-    if dim < 1 or n_blocks < 1:
-        raise DimensionError("dim and n_blocks must be >= 1")
-    if clamp_alpha <= 0:
-        raise ValueError("clamp_alpha must be positive")
-    cfg = FlowConfig(n_blocks, hidden_width, clamp_alpha, activation, n_hidden_layers)
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    blocks = []
-    d_cond = (dim + 1) // 2 if dim >= 2 else 0
-    d_trans = dim - d_cond
-    for i in range(n_blocks):
-        perm = rng.permutation(dim).astype(np.int64)
-        inv_perm = np.argsort(perm)
-        prefix = f"blk{i}."
-        if dim == 1:
-            subnet = MlpSpec(0, 2, n_hidden_layers=0)
-        else:
-            subnet = MlpSpec(d_cond, 2 * d_trans, hidden_width, n_hidden_layers, activation)
-        register_mlp(store, subnet, prefix, rng, zero_last=True)
-        blocks.append(CouplingBlock(i, perm, inv_perm, d_cond, d_trans, subnet, prefix))
-    return FlowModel(dim, clamp_alpha, blocks, store, cfg, seed)
+    return build_model(dim, FlowConfig(n_blocks, hidden_width, clamp_alpha,
+                                       activation, n_hidden_layers), seed)
+
+
+def _subnet_spec(dim: int, cfg: FlowConfig) -> MlpSpec:
+    """Conditioner of every block: the first ceil(dim / 2) permuted
+    dimensions in, a raw log-scale and a shift per remaining dimension out."""
+    if dim < 1:
+        raise DimensionError("dim must be >= 1")
+    if dim == 1:
+        return MlpSpec(0, 2, n_hidden_layers=0)
+    d_trans = dim // 2
+    return MlpSpec(dim - d_trans, 2 * d_trans, cfg.hidden_width, cfg.n_hidden_layers,
+                   cfg.activation)
 
 
 def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
-    return init_model(dim, cfg.n_blocks, cfg.hidden_width, cfg.clamp_alpha,
-                      seed, cfg.activation, cfg.n_hidden_layers)
+    """Deterministic model for a given seed; the subnetwork output layers
+    are zero-initialized so the initial map is the permutations only."""
+    subnet = _subnet_spec(dim, cfg)
+    d_cond = subnet.in_width
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    blocks = []
+    for i in range(cfg.n_blocks):
+        perm = rng.permutation(dim).astype(np.int64)
+        prefix = f"blk{i}."
+        register_mlp(store, subnet, prefix, rng, zero_last=True)
+        blocks.append(CouplingBlock(i, perm, np.argsort(perm), d_cond, dim - d_cond,
+                                    subnet, prefix))
+    return FlowModel(dim, blocks, store, cfg)
 
 
 @dataclass
@@ -114,7 +122,7 @@ def _coupling(model: FlowModel, block: CouplingBlock, cond: Array):
     """tanh(s_raw / alpha) and the shift t of the conditioner output; the
     clamped log-scale is alpha * tanh(s_raw / alpha)."""
     raw, mlp_cache = mlp_forward(model.store, block.subnet, cond, block.prefix)
-    th = np.tanh(raw[:, :block.d_trans] / model.clamp_alpha)
+    th = np.tanh(raw[:, :block.d_trans] / model.config.clamp_alpha)
     return th, raw[:, block.d_trans:], mlp_cache
 
 
@@ -135,7 +143,7 @@ def _forward_pass(model: FlowModel, x: Array, want_cache: bool):
         cond = u[:, :block.d_cond]
         trans = u[:, block.d_cond:]
         th, t, mlp_cache = _coupling(model, block, cond)
-        s_eff = model.clamp_alpha * th
+        s_eff = model.config.clamp_alpha * th
         exp_s = np.exp(s_eff)
         z = np.concatenate([cond, trans * exp_s + t], axis=1)
         logdet = logdet + s_eff.sum(axis=1)
@@ -166,7 +174,7 @@ def inverse(model: FlowModel, z, return_logdet: bool = False):
         cond = x[:, :block.d_cond]
         trans = x[:, block.d_cond:]
         th, t, _ = _coupling(model, block, cond)
-        s_eff = model.clamp_alpha * th
+        s_eff = model.config.clamp_alpha * th
         back = (trans - t) * np.exp(-s_eff)
         u = np.concatenate([cond, back], axis=1)
         x = u[:, block.inv_perm]
@@ -196,8 +204,7 @@ def _backward_pass(model: FlowModel, caches: list[_BlockCache],
         d_s = g_out * cache.trans_in * cache.exp_s + dld[:, None]
         d_raw = np.concatenate([d_s * (1.0 - cache.th ** 2), g_out], axis=1)
         sub_grads, g_cond_sub = mlp_backward(cache.mlp_cache, d_raw)
-        for name, val in sub_grads.items():
-            grads[name] = grads.get(name, 0.0) + val
+        grads.update(sub_grads)
         g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * cache.exp_s], axis=1)
         g_prev = np.empty_like(g_u)
         g_prev[:, block.perm] = g_u
@@ -234,7 +241,7 @@ def save_model(model: FlowModel, path) -> None:
                          "(relu activation, two hidden layers)")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, model.dim, model.n_blocks,
-                              cfg.hidden_width, model.clamp_alpha))
+                              cfg.hidden_width, cfg.clamp_alpha))
         for block in model.blocks:
             fh.write(block.perm.astype("<u4").tobytes())
             for name in block.subnet.param_names():
@@ -252,24 +259,26 @@ def load_model(path) -> FlowModel:
             raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
         if version != _VERSION:
             raise FormatError(f"unsupported model file version {version}")
-        model = init_model(dim, n_blocks, hidden, alpha, seed=0)
+        try:
+            cfg = FlowConfig(n_blocks, hidden, alpha)
+            subnet = _subnet_spec(dim, cfg)
+        except ValueError as exc:
+            raise FormatError(f"bad model file header: {exc}") from None
+        block_bytes = 4 * dim + 8 * sum((i + 1) * o for i, o in subnet.layer_dims())
+        expected = _HEADER.size + n_blocks * block_bytes
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"model file is {size} bytes, its header implies {expected}")
+        model = build_model(dim, cfg)
         for block in model.blocks:
-            raw = fh.read(4 * dim)
-            if len(raw) != 4 * dim:
-                raise FormatError(f"truncated permutation for block {block.index}")
-            perm = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+            perm = np.frombuffer(fh.read(4 * dim), dtype="<u4").astype(np.int64)
             if sorted(perm.tolist()) != list(range(dim)):
                 raise FormatError(f"block {block.index} permutation is not a bijection")
             block.perm = perm
             block.inv_perm = np.argsort(perm)
             for name in block.subnet.param_names():
                 target = model.store.params[block.prefix + name]
-                raw = fh.read(8 * target.size)
-                if len(raw) != 8 * target.size:
-                    raise FormatError(f"truncated parameters for {block.prefix}{name}")
-                target[...] = np.frombuffer(raw, dtype="<f8").reshape(target.shape)
-        if fh.read(1):
-            raise FormatError("trailing bytes after model payload")
+                target[...] = np.frombuffer(fh.read(8 * target.size), dtype="<f8").reshape(target.shape)
     return model
 
 

@@ -24,18 +24,18 @@ CONTRASTIVE_METHODS = ("cf", "cf_ft", "flow_ratio", "mse_ratio")
 FLOW_OBJECTIVES = {"nll_flow": "nll", "cf": "contrastive", "cf_ft": "cf_ft"}
 
 
-@dataclass
-class FittedMethod:
-    name: str
-    score: Callable[[Array], Array]
-    models: dict
+def check_methods(names) -> None:
+    """Raise ConfigError for the first name that is not in METHODS."""
+    for name in names:
+        if name not in METHODS:
+            raise ConfigError(f"unknown method {name!r}; pick from {METHODS}")
 
 
 def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
                seed: int, flow_config: FlowConfig | None = None,
-               val_contrastive=None) -> FittedMethod:
-    if name not in METHODS:
-        raise ConfigError(f"unknown method {name!r}; pick from {METHODS}")
+               val_contrastive=None) -> Callable[[Array], Array]:
+    """Fit the named method and return its outlier-score function."""
+    check_methods([name])
     if name in CONTRASTIVE_METHODS and contrastive is None:
         raise ConfigError(f"method {name!r} needs a contrastive set")
     if flow_config is None:
@@ -45,10 +45,10 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
 
     if name == "mse":
         model = baselines.fit_mse(train_in)
-        return FittedMethod(name, lambda x: baselines.mse_score(model, x), {"mse": model})
+        return lambda x: baselines.mse_score(model, x)
     if name == "mse_ratio":
         model = baselines.fit_mse(train_in, contrastive)
-        return FittedMethod(name, lambda x: baselines.mse_ratio_score(model, x), {"mse": model})
+        return lambda x: baselines.mse_ratio_score(model, x)
     if name == "flow_ratio":
         # both component flows are plain density estimators with the same
         # validation-NLL stopping rule, so the degenerate case where both
@@ -57,12 +57,11 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
         train(flow_in, train_in, None, replace(cfg, objective="nll"))
         flow_contr = build_model(dim, flow_config, seed + 1)
         train(flow_contr, contrastive, None, replace(cfg, objective="nll"))
-        return FittedMethod(name, lambda x: baselines.ratio_score(flow_in, flow_contr, x),
-                            {"flow_in": flow_in, "flow_contr": flow_contr})
+        return lambda x: baselines.ratio_score(flow_in, flow_contr, x)
     flow = build_model(dim, flow_config, seed)
     train(flow, train_in, contrastive, replace(cfg, objective=FLOW_OBJECTIVES[name]),
           val_contrastive_set=val_contrastive)
-    return FittedMethod(name, lambda x: outlier_score(flow, x), {"flow": flow})
+    return lambda x: outlier_score(flow, x)
 
 
 @dataclass
@@ -87,9 +86,9 @@ def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
     for i, inlier in enumerate(class_sets):
         seed = root_seed + i
         train_part, test_part = split(inlier, (1.0 - test_fraction, test_fraction), seed)
-        fitted = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
-        s_in = fitted.score(test_part.data)
+        score = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
+        s_in = score(test_part.data)
         others = [other for j, other in enumerate(class_sets) if j != i]
-        matrix[i] = [auroc(s_in, fitted.score(other.data)) for other in others]
+        matrix[i] = [auroc(s_in, score(other.data)) for other in others]
         means[i] = matrix[i].mean()
     return OneVsRestResult(list(class_names), matrix, means)

@@ -119,7 +119,7 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
         weights = np.where(active, -1.0 / m, 0.0)
         _, neg_grads = weighted_nll_grad(model, neg, weights)
         for name, g in neg_grads.items():
-            grads[name] = grads[name] + g
+            grads[name] += g
     loss = float(nll_pos.mean() - np.minimum(nll_neg, tau).mean())
     if not math.isfinite(loss):
         raise NumericError("contrastive loss is non-finite")
@@ -180,8 +180,7 @@ def _train_phase(model: FlowModel, train_in: Array, train_c: Array | None,
                 loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau)
             else:
                 loss, grads = nll_objective(model, xb)
-            model.store.accumulate(grads)
-            adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(model.store, grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
         metric = None

@@ -101,7 +101,7 @@ def test_ratio_hand_set_scale_difference():
     # for a rescaled Gaussian in the transformed coordinate
     f_in = flows.init_model(1, n_blocks=1, seed=1)
     f_c = flows.init_model(1, n_blocks=1, seed=1)
-    alpha = f_c.clamp_alpha
+    alpha = f_c.config.clamp_alpha
     raw = alpha * math.atanh(math.log(2.0) / alpha)
     f_c.store.params["blk0.b0"][...] = np.array([raw, 0.0])
     x = np.linspace(-2.0, 2.0, 9)[:, None]

@@ -1,13 +1,32 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnflow import cli, datasets, flows, metrics
+from cnflow import cli, datasets, flows, methods, metrics
 from cnflow.datasets import gen_gaussian, save_features
+
+# file headers and the bit width of each field after the magic (None: float64)
+HEADERS = {".cftr": (struct.Struct("<4sHIQB"), (16, 32, 64, 8)),
+           ".cflw": (struct.Struct("<4sHIHId"), (16, 32, 16, 32, None))}
+
+
+def _with_header_field(src, dst, index, value):
+    """Copy src to dst with header field `index` (0 = magic) set to value."""
+    raw = bytearray(src.read_bytes())
+    head = HEADERS[src.suffix][0]
+    fields = list(head.unpack_from(raw))
+    fields[index] = value
+    head.pack_into(raw, 0, *fields)
+    dst.write_bytes(bytes(raw))
 
 FAST_TOY1D = {
     "n_train": 4000,
@@ -133,9 +152,9 @@ def test_tabular_report_lists_all_methods(tmp_path):
 def test_train_score_eval_pipeline(tmp_path):
     # two separated clusters; the full file pipeline must reproduce the
     # in-process AUROC bit for bit
-    inl = gen_gaussian([2.0, 0.0, 0.0], 0.4, 800, seed=0, provenance="in")
-    contr = gen_gaussian([0.0, 0.0, 0.0], 2.0, 800, seed=1, provenance="broad")
-    outl = gen_gaussian([-2.0, 0.0, 0.0], 0.4, 300, seed=2, provenance="out")
+    inl = gen_gaussian([2.0, 0.0, 0.0], 0.4, 800, seed=0)
+    contr = gen_gaussian([0.0, 0.0, 0.0], 2.0, 800, seed=1)
+    outl = gen_gaussian([-2.0, 0.0, 0.0], 0.4, 300, seed=2)
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     save_features(inl, data_dir / "inl.cftr")
@@ -278,9 +297,15 @@ def _bad_inputs(tmp_path):
     raw = (tmp_path / "byte.cftr").read_bytes()
     (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
     (tmp_path / "inl.csv").write_text("f0,f1\n1.0,2.0\n2.0,1.0\n")
+    save_features(datasets.FeatureSet(np.ones((2, 2))), tmp_path / "ok.cftr")
+    _with_header_field(tmp_path / "ok.cftr", tmp_path / "rows_2e62.cftr", 3, 2 ** 62)
+    (tmp_path / "trailing.cftr").write_bytes((tmp_path / "ok.cftr").read_bytes() + b"\0")
+    for name, index, value in (("alpha0", 5, 0.0), ("blocks0", 3, 0),
+                               ("dim_huge", 2, 2 ** 32 - 1), ("hidden_huge", 4, 2 ** 32 - 1)):
+        _with_header_field(tmp_path / "m.cflw", tmp_path / f"{name}.cflw", index, value)
 
-    def score(data):
-        return {"model_path": str(tmp_path / "m.cflw"), "data_path": str(tmp_path / data)}
+    def score(data, model="m.cflw"):
+        return {"model_path": str(tmp_path / model), "data_path": str(tmp_path / data)}
 
     return {
         "eval_abc_cell": ("eval", {"inlier_scores": str(tmp_path / "abc.csv"),
@@ -291,11 +316,21 @@ def _bad_inputs(tmp_path):
         "nan_feature": ("score", score("nan.csv"), 2),
         "zero_blocks": ("train", {"data_path": str(tmp_path / "inl.csv"),
                                   "model": {"n_blocks": 0}}, 2),
+        "clamp_alpha_0": ("train", {"data_path": str(tmp_path / "inl.csv"),
+                                    "model": {"clamp_alpha": 0}}, 2),
+        "cftr_rows_2e62": ("train", {"data_path": str(tmp_path / "rows_2e62.cftr")}, 3),
+        "cftr_trailing_bytes": ("score", score("trailing.cftr"), 3),
+        "cflw_alpha_0": ("score", score("inl.csv", "alpha0.cflw"), 3),
+        "cflw_zero_blocks": ("score", score("inl.csv", "blocks0.cflw"), 3),
+        "cflw_dim_huge": ("score", score("inl.csv", "dim_huge.cflw"), 3),
+        "cflw_hidden_huge": ("score", score("inl.csv", "hidden_huge.cflw"), 3),
     }
 
 
 @pytest.mark.parametrize("case", ["eval_abc_cell", "label_x", "label_300", "label_byte_200",
-                                  "nan_feature", "zero_blocks"])
+                                  "nan_feature", "zero_blocks", "clamp_alpha_0",
+                                  "cftr_rows_2e62", "cftr_trailing_bytes", "cflw_alpha_0",
+                                  "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     kind, payload, code = _bad_inputs(tmp_path)[case]
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
@@ -303,6 +338,48 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == code
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_score_on_corrupt_files_exits_without_traceback(tmp_path_factory, data):
+    # truncated, bit-flipped or header-rewritten model and feature files:
+    # every outcome is a documented exit code with at most one line on stderr
+    root = tmp_path_factory.mktemp("fuzz")
+    flows.save_model(flows.init_model(3, n_blocks=2, hidden_width=4, seed=0), root / "m.cflw")
+    save_features(datasets.FeatureSet(np.ones((5, 3)), [0, 1, 2, 0, 1]), root / "d.cftr")
+    target = root / data.draw(st.sampled_from(["m.cflw", "d.cftr"]))
+    raw = bytearray(target.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "field"]))
+    if kind == "truncate":
+        target.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif kind == "flip":
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+        target.write_bytes(raw)
+    else:
+        widths = HEADERS[target.suffix][1]
+        index = data.draw(st.sampled_from(range(1, len(widths) + 1)))
+        bits = widths[index - 1]
+        value = data.draw(st.floats() if bits is None else st.integers(0, 2 ** bits - 1))
+        _with_header_field(target, target, index, value)
+    cfg = _write_cfg(root, {"model_path": str(root / "m.cflw"),
+                            "data_path": str(root / "d.cftr")}, name="score.json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run_cli(["score", "--out", str(root / "out"), "--config", str(cfg)])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert rc == 0 or len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mu-sweep", "informed", "report"])
+def test_unknown_method_exits_2_before_any_fit(tmp_path, monkeypatch, kind):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was trained before the method list was checked")
+
+    monkeypatch.setattr(methods, "train", no_fit)
+    assert run_cli([kind, "--method", "cf,bogus", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("argv", [["toy2d", "--reps", "2"], ["toy1d", "--reps", "2"],

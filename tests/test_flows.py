@@ -71,7 +71,7 @@ def test_constant_logscale_logdet():
     # hand-set raw log-scale so the clamped value is exactly log 2 on the
     # single transformed dimension
     model = small_model(dim=2, n_blocks=1, seed=3)
-    raw = raw_for_logscale(math.log(2.0), model.clamp_alpha)
+    raw = raw_for_logscale(math.log(2.0), model.config.clamp_alpha)
     model.store.params["blk0.b2"][...] = np.array([raw, 0.0])
     _, logdet = flows.forward_latent(model, np.random.default_rng(1).standard_normal((5, 2)))
     assert np.allclose(logdet, math.log(2.0), atol=1e-12, rtol=0)
@@ -178,7 +178,7 @@ def test_roundtrip_random_model():
 def test_hand_inverted_affine_block():
     # one block, constant s and t: inverse must match the closed form
     model = small_model(dim=2, n_blocks=1, seed=3)
-    raw = raw_for_logscale(0.4, model.clamp_alpha)
+    raw = raw_for_logscale(0.4, model.config.clamp_alpha)
     model.store.params["blk0.b2"][...] = np.array([raw, 0.7])
     z = np.array([[0.3, -1.1]])
     x = flows.inverse(model, z)

@@ -50,8 +50,7 @@ def test_nll_decreases_during_training():
     for _ in range(51):
         loss, grads = nll_objective(model, data)
         losses.append(loss)
-        model.store.accumulate(grads)
-        adam_step(model.store, 1e-3)
+        adam_step(model.store, grads, 1e-3)
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops >= 45
 

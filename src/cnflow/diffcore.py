@@ -10,6 +10,7 @@ reads a gradient dict.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +21,15 @@ from .errors import DimensionError, NumericError
 Array = np.ndarray
 
 ACTIVATIONS = ("relu", "softplus")
+
+
+def require_ints(owner, *names: str) -> None:
+    """ValueError unless each named attribute of `owner` is an integer
+    (bool is not)."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_batch(x, cols: int | None = None) -> Array:
@@ -57,11 +67,13 @@ class MlpSpec:
         widths = [self.in_width] + [self.hidden_width] * self.n_hidden_layers + [self.out_width]
         return list(zip(widths[:-1], widths[1:]))
 
-    def param_names(self) -> list[str]:
-        names = []
-        for layer in range(len(self.layer_dims())):
-            names += [f"w{layer}", f"b{layer}"]
-        return names
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter, in declaration order."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        for layer, (fan_in, fan_out) in enumerate(self.layer_dims()):
+            shapes[f"w{layer}"] = (fan_in, fan_out)
+            shapes[f"b{layer}"] = (fan_out,)
+        return shapes
 
 
 @dataclass
@@ -78,8 +90,10 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already registered")
         value = np.asarray(value, dtype=np.float64)
         self.params[name] = value
-        self.m[name] = np.zeros_like(value)
-        self.v[name] = np.zeros_like(value)
+        # np.zeros takes calloc'd memory, which for a large array is fresh
+        # pages nobody writes, so a model only scored never touches them
+        self.m[name] = np.zeros(value.shape)
+        self.v[name] = np.zeros(value.shape)
 
     def copy_params(self) -> dict[str, Array]:
         return {name: p.copy() for name, p in self.params.items()}
@@ -111,12 +125,6 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, zero_last: bool = F
         out[f"w{layer}"] = w
         out[f"b{layer}"] = b
     return out
-
-
-def register_mlp(store: ParamStore, spec: MlpSpec, prefix: str,
-                 rng: np.random.Generator, zero_last: bool = False) -> None:
-    for name, value in init_mlp_params(spec, rng, zero_last=zero_last).items():
-        store.register(prefix + name, value)
 
 
 def _activate(kind: str, h: Array) -> Array:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import adam_step
+from .diffcore import adam_step, require_ints
 from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import FlowModel, log_prob, weighted_nll_grad
 
@@ -50,6 +50,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        require_ints(self, "batch_size", "max_epochs", "patience", "seed", "finetune_epochs")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not math.isfinite(self.clamp_tau):

@@ -3,7 +3,10 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +310,9 @@ def _bad_inputs(tmp_path):
     def score(data, model="m.cflw"):
         return {"model_path": str(tmp_path / model), "data_path": str(tmp_path / data)}
 
+    def nll_train(**payload):
+        return ("train", {"data_path": str(tmp_path / "inl.csv"), "objective": "nll", **payload}, 2)
+
     return {
         "eval_abc_cell": ("eval", {"inlier_scores": str(tmp_path / "abc.csv"),
                                    "outlier_scores": str(tmp_path / "ok.csv")}, 3),
@@ -324,13 +330,23 @@ def _bad_inputs(tmp_path):
         "cflw_zero_blocks": ("score", score("inl.csv", "blocks0.cflw"), 3),
         "cflw_dim_huge": ("score", score("inl.csv", "dim_huge.cflw"), 3),
         "cflw_hidden_huge": ("score", score("inl.csv", "hidden_huge.cflw"), 3),
+        "n_blocks_2.5": nll_train(model={"n_blocks": 2.5}),
+        "n_blocks_true": nll_train(model={"n_blocks": True}),
+        "hidden_width_2.5": nll_train(model={"hidden_width": 2.5}),
+        "max_epochs_1.5": nll_train(train={"max_epochs": 1.5}),
+        "batch_size_2.5": nll_train(train={"batch_size": 2.5}),
+        "patience_1.5": nll_train(train={"patience": 1.5}),
+        "seed_1.5": nll_train(seed=1.5),
     }
 
 
 @pytest.mark.parametrize("case", ["eval_abc_cell", "label_x", "label_300", "label_byte_200",
                                   "nan_feature", "zero_blocks", "clamp_alpha_0",
                                   "cftr_rows_2e62", "cftr_trailing_bytes", "cflw_alpha_0",
-                                  "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge"])
+                                  "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge",
+                                  "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
+                                  "max_epochs_1.5", "batch_size_2.5", "patience_1.5",
+                                  "seed_1.5"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     kind, payload, code = _bad_inputs(tmp_path)[case]
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
@@ -371,6 +387,32 @@ def test_score_on_corrupt_files_exits_without_traceback(tmp_path_factory, data):
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert rc == 0 or len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_score_overflow_in_a_later_block_exits_1(tmp_path, capsys):
+    # a finite value that overflows inside the flow, in the second block of rows
+    model = flows.init_model(2, n_blocks=1, hidden_width=4, seed=0)
+    model.store.params["blk0.w2"][...] = 1.0
+    flows.save_model(model, tmp_path / "m.cflw")
+    rows = ["0.0,0.0"] * (flows._BLOCK_ROWS + 10)
+    rows[flows._BLOCK_ROWS + 3] = "1e308,1e308"
+    (tmp_path / "d.csv").write_text("f0,f1\n" + "\n".join(rows) + "\n")
+    payload = {"model_path": str(tmp_path / "m.cflw"), "data_path": str(tmp_path / "d.csv")}
+    rc = run_cli(["score", "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, payload))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("numeric failure") and len(err.strip().splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cnflow", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: cnflow")
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mu-sweep", "informed", "report"])

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch,
                              finite_difference_grad, init_mlp_params,
-                             mlp_backward, mlp_forward, register_mlp)
+                             mlp_backward, mlp_forward)
 from cnflow.errors import DimensionError, NumericError
 
 
 def make_store(spec, seed=0, zero_last=False, prefix=""):
     store = ParamStore()
-    register_mlp(store, spec, prefix, np.random.default_rng(seed), zero_last=zero_last)
+    for name, value in init_mlp_params(spec, np.random.default_rng(seed), zero_last).items():
+        store.register(prefix + name, value)
     return store
 
 

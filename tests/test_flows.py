@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,83 @@ def test_non_finite_intermediate_names_block():
         flows.forward_latent(model, np.array([[1.0, 1.0]]))
 
 
+# --- row blocks -------------------------------------------------------------
+
+B = flows._BLOCK_ROWS
+
+
+def forward_only_outputs(model, x):
+    z, logdet = flows.forward_latent(model, x)
+    x_back, inv_logdet = flows.inverse(model, x, return_logdet=True)
+    return flows.log_prob(model, x), z, logdet, x_back, inv_logdet
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 5]), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10_000))
+def test_row_blocks_match_one_whole_batch_pass(n, dim, seed):
+    model = small_model(dim=dim, n_blocks=2, hidden=5, seed=seed)
+    perturb(model, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    blocked = forward_only_outputs(model, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_BLOCK_ROWS", n + 1)
+        whole = forward_only_outputs(model, x)
+    for got, want in zip(blocked, whole):
+        assert got.shape[0] == n and np.array_equal(got, want)
+    # a row's result does not depend on the other rows; a one-row call
+    # takes BLAS's matrix-vector kernel, so it may differ in the last ulp
+    for i in rng.choice(n, size=min(n, 4), replace=False):
+        for got, want in zip(blocked, forward_only_outputs(model, x[i])):
+            np.testing.assert_allclose(want, got[i:i + 1], rtol=1e-12, atol=1e-12)
+
+
+def test_short_tail_joins_the_last_block():
+    # a matmul of a few rows may take another BLAS kernel, so the last
+    # block takes the remainder rather than running a short block
+    model = flows.init_model(128, n_blocks=1, hidden_width=512, seed=4)
+    perturb(model, scale=0.05, seed=5)
+    x = np.random.default_rng(6).standard_normal((B + 1, 128))
+    blocked = flows.log_prob(model, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_BLOCK_ROWS", B + 2)
+        assert np.array_equal(blocked, flows.log_prob(model, x))
+
+
+def test_empty_batch_gives_empty_outputs():
+    model = small_model(dim=3)
+    z, logdet = flows.forward_latent(model, np.zeros((0, 3)))
+    assert flows.log_prob(model, np.zeros((0, 3))).shape == (0,)
+    assert z.shape == (0, 3) and logdet.shape == (0,)
+    assert flows.inverse(model, np.zeros((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("fn", [flows.log_prob, flows.forward_latent, flows.inverse])
+def test_non_finite_row_in_a_later_block_raises(fn):
+    model = small_model(dim=2)
+    perturb(model)
+    x = np.zeros((2 * B + 3, 2))
+    x[B + 5, 1] = np.nan
+    with pytest.raises(NumericError, match="input batch"):
+        fn(model, x)
+
+
+def test_log_prob_peak_memory_is_bounded_by_one_block():
+    model = flows.init_model(8, n_blocks=2, hidden_width=256, seed=0)
+    x = np.random.default_rng(0).standard_normal((8 * B, 8))
+    flows.log_prob(model, x[:4])
+    tracemalloc.start()
+    try:
+        flows.log_prob(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-batch pass peaks at about 66 hidden activations of one block
+    one_block_activation = B * 256 * 8
+    assert peak < 12 * one_block_activation
+
+
 # --- inversion / sampling ---------------------------------------------------
 
 def test_inverse_of_identity_model_is_inverse_permutation():
@@ -294,6 +372,25 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(flows.log_prob(model, x), flows.log_prob(loaded, x))
     for name in model.store.params:
         assert np.array_equal(model.store.params[name], loaded.store.params[name])
+
+
+def test_load_reads_the_payload_without_a_random_init(tmp_path, monkeypatch):
+    model = small_model(dim=5, n_blocks=3, hidden=6, seed=27)
+    perturb(model, seed=28)
+    path = tmp_path / "model.cflw"
+    flows.save_model(model, path)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_model drew a random model")
+
+    monkeypatch.setattr(flows, "build_model", no_init)
+    monkeypatch.setattr(flows, "init_mlp_params", no_init)
+    loaded = flows.load_model(path)
+    for block, want in zip(loaded.blocks, model.blocks):
+        assert np.array_equal(block.perm, want.perm) and np.array_equal(block.inv_perm, want.inv_perm)
+    for name, p in loaded.store.params.items():
+        assert np.array_equal(p, model.store.params[name])
+        assert p.dtype == np.float64 and p.flags.writeable and p.flags.aligned
 
 
 def test_save_load_dim1(tmp_path):

@@ -2,7 +2,8 @@
 
 Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
-forward/backward with an activation cache, a central-difference gradient
+forward/backward with an activation cache (or a forward pass in place in
+caller-given arrays, with no cache), a central-difference gradient
 oracle for testing, and an in-place Adam step over a ParamStore that
 reads a gradient dict.
 """
@@ -127,15 +128,16 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, zero_last: bool = F
     return out
 
 
-def _activate(kind: str, h: Array) -> Array:
+def _activate(kind: str, h: Array, out: Array | None = None) -> Array:
     if kind == "relu":
-        return np.maximum(h, 0.0)
-    return np.logaddexp(0.0, h)  # softplus
+        return np.maximum(h, 0.0, out=out)
+    return np.logaddexp(0.0, h, out=out)  # softplus
 
 
 def _activate_grad(kind: str, h: Array) -> Array:
     if kind == "relu":
-        return (h > 0.0).astype(np.float64)
+        # a multiply casts the mask to 1.0/0.0, the bits of a float mask
+        return h > 0.0
     # sigmoid, stable for large |h|
     return 0.5 * (1.0 + np.tanh(0.5 * h))
 
@@ -152,26 +154,31 @@ class MlpCache:
     out_shape: tuple[int, int]
 
 
-def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "") -> tuple[Array, MlpCache]:
+def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
+                out: list[Array] | None = None) -> tuple[Array, MlpCache | None]:
+    """The network's output for the rows of x and the cache mlp_backward
+    needs.  With `out`, one array per layer with at least as many rows as
+    x, every layer computes in place in the first rows of its array, the
+    output is a view of the last one, and no cache is built (None)."""
     x = as_batch(x, spec.in_width)
     dims = spec.layer_dims()
-    weights, inputs, pre = [], [], []
+    cache = None if out else MlpCache(spec, prefix, [], [], [], (x.shape[0], spec.out_width))
     a = x
     for layer, (fan_in, fan_out) in enumerate(dims):
         w = store.params[prefix + f"w{layer}"]
         b = store.params[prefix + f"b{layer}"]
         if w.shape != (fan_in, fan_out):
             raise DimensionError(f"{prefix}w{layer} has shape {w.shape}, spec wants {(fan_in, fan_out)}")
-        inputs.append(a)
-        weights.append(w)
-        h = a @ w + b
-        if layer < len(dims) - 1:
-            pre.append(h)
-            a = _activate(spec.activation, h)
-        else:
-            a = h
-    cache = MlpCache(spec, prefix, weights, inputs, pre, a.shape)
-    return a, cache
+        h = np.matmul(a, w, out=out[layer][:x.shape[0]] if out else None)
+        h += b
+        if cache:
+            cache.weights.append(w)
+            cache.inputs.append(a)
+        if layer == len(dims) - 1:
+            return h, cache
+        if cache:
+            cache.pre.append(h)
+        a = _activate(spec.activation, h, out=None if cache else h)
 
 
 def mlp_backward(cache: MlpCache, grad_out: Array) -> tuple[dict[str, Array], Array]:
@@ -231,13 +238,30 @@ def adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
     t = store.step + 1
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
+    # two scratch arrays sized to the largest parameter, viewed in the shape
+    # of each; the operations and their order are those of
+    #   m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g g,
+    #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
+    size = max((p.size for p in store.params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in store.params.items():
         g = grads[name]
         m = store.m[name]
         v = store.v[name]
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        np.divide(m, c1, out=a)
+        np.multiply(lr, a, out=a)
+        a /= b
+        p -= a
     store.step = t

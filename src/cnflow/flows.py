@@ -14,9 +14,12 @@ log_prob includes the -D/2 * log(2 pi) normalizing constant, so quadrature
 of exp(log_prob) over a covering grid is a meaningful normalization check.
 
 The forward-only maps (forward_latent, log_prob, inverse, sample) run in
-consecutive blocks of _BLOCK_ROWS rows, so their working memory is that
-of one block whatever the batch size.  Every step treats rows
-independently, and BLAS computes each output row of a matmul the same
+consecutive blocks of _BLOCK_ROWS rows.  One call allocates one
+workspace, sized to its largest block, and every coupling block of every
+row block computes in place in it: the working memory is that of one
+block whatever the batch size, and a block allocates only its per-row
+log-scale sums and the mask of its finiteness check.  Every step treats
+rows independently, and BLAS computes each output row of a matmul the same
 way whatever the other rows are as long as it keeps to one kernel, so the
 result is bitwise that of one whole-batch pass unless BLAS picks a
 different kernel for a block's smaller matmuls than for the whole batch's.
@@ -70,7 +73,6 @@ class FlowConfig:
 class CouplingBlock:
     index: int
     perm: Array
-    inv_perm: Array
     d_cond: int
     d_trans: int
     subnet: MlpSpec
@@ -117,8 +119,8 @@ def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, block_arrays) -> FlowM
         prefix = f"blk{i}."
         for name, value in params.items():
             store.register(prefix + name, value)
-        blocks.append(CouplingBlock(i, perm, np.argsort(perm), subnet.in_width,
-                                    dim - subnet.in_width, subnet, prefix))
+        blocks.append(CouplingBlock(i, perm, subnet.in_width, dim - subnet.in_width,
+                                    subnet, prefix))
     return FlowModel(dim, blocks, store, cfg)
 
 
@@ -140,53 +142,97 @@ class _BlockCache:
     mlp_cache: MlpCache
 
 
-def _coupling(model: FlowModel, block: CouplingBlock, cond: Array):
-    """tanh(s_raw / alpha) and the shift t of the conditioner output; the
-    clamped log-scale is alpha * tanh(s_raw / alpha)."""
-    raw, mlp_cache = mlp_forward(model.store, block.subnet, cond, block.prefix)
-    th = np.tanh(raw[:, :block.d_trans] / model.config.clamp_alpha)
-    return th, raw[:, block.d_trans:], mlp_cache
+class _Workspace:
+    """Arrays for the coupling steps of up to `rows` rows.  A forward-only
+    call takes one and reuses it for every coupling block and row block;
+    the cached pass takes a new one per coupling block, whose cache keeps
+    its arrays, and lets the MLP allocate (and cache) its own outputs."""
+
+    def __init__(self, model: FlowModel, rows: int, cached: bool = False):
+        spec = model.blocks[0].subnet
+        d_trans = model.dim - spec.in_width
+        self.cond = np.empty((rows, spec.in_width))
+        self.trans = np.empty((rows, d_trans))
+        self.exp_s = np.empty((rows, d_trans))
+        # tanh is needed only until the log-scale is formed, unless cached
+        self.th = np.empty((rows, d_trans)) if cached else self.exp_s
+        self.layers = None if cached else [np.empty((rows, fan_out))
+                                           for _, fan_out in spec.layer_dims()]
+
+
+def _coupling(model: FlowModel, block: CouplingBlock, ws: _Workspace, n: int):
+    """Run the conditioner on the first n rows of ws.cond.  Returns the
+    clamped log-scale alpha * tanh(s_raw / alpha), in ws.exp_s (with the
+    tanh in ws.th), the shift t and the MLP cache."""
+    raw, mlp_cache = mlp_forward(model.store, block.subnet, ws.cond[:n], block.prefix, ws.layers)
+    th, s = ws.th[:n], ws.exp_s[:n]
+    np.divide(raw[:, :block.d_trans], model.config.clamp_alpha, out=th)
+    np.tanh(th, out=th)
+    np.multiply(model.config.clamp_alpha, th, out=s)
+    return s, raw[:, block.d_trans:], mlp_cache
 
 
 def _nll(model: FlowModel, z: Array, logdet: Array) -> Array:
     """Per-sample NLL = ||z||^2 / 2 + D/2 log(2 pi) - logdet."""
-    return 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
+    with np.errstate(over="ignore"):
+        return 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
 
 
-def _forward_pass(model: FlowModel, x: Array, want_cache: bool = False):
-    z = x
-    logdet = np.zeros(x.shape[0])
+# inf and nan are caught by the explicit finiteness checks, whose message
+# is then the only one
+@np.errstate(over="ignore", invalid="ignore")
+def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
+                  ws: _Workspace | None = None) -> list[_BlockCache]:
+    """Write the latent of x to z and its log-determinant to logdet, and
+    return the block caches of the backward pass.  With a workspace
+    (forward-only), every block computes in its arrays and no cache is
+    kept."""
+    n = x.shape[0]
+    logdet[...] = 0.0
     caches: list[_BlockCache] = []
+    z_in = x
     for block in model.blocks:
-        u = z[:, block.perm]
-        cond = u[:, :block.d_cond]
-        trans = u[:, block.d_cond:]
-        th, t, mlp_cache = _coupling(model, block, cond)
-        s_eff = model.config.clamp_alpha * th
-        exp_s = np.exp(s_eff)
-        z = np.concatenate([cond, trans * exp_s + t], axis=1)
-        logdet = logdet + s_eff.sum(axis=1)
+        w = ws or _Workspace(model, n, cached=True)
+        cond, trans = w.cond[:n], w.trans[:n]
+        # the permutations are bijections, so no index needs the bounds
+        # check, whose mode="raise" would take a temporary copy
+        np.take(z_in, block.perm[:block.d_cond], axis=1, out=cond, mode="clip")
+        np.take(z_in, block.perm[block.d_cond:], axis=1, out=trans, mode="clip")
+        s, t, mlp_cache = _coupling(model, block, w, n)
+        logdet += s.sum(axis=1)
+        exp_s = np.exp(s, out=s)
+        z[:, :block.d_cond] = cond
+        np.multiply(trans, exp_s, out=z[:, block.d_cond:])
+        z[:, block.d_cond:] += t
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite values after coupling block {block.index}")
-        if want_cache:
-            caches.append(_BlockCache(trans, th, exp_s, mlp_cache))
-    return z, logdet, caches
+        if ws is None:
+            caches.append(_BlockCache(trans, w.th[:n], exp_s, mlp_cache))
+        z_in = z
+    return caches
 
 
-def _inverse_pass(model: FlowModel, x: Array) -> tuple[Array, Array]:
-    logdet = np.zeros(x.shape[0])
+@np.errstate(over="ignore", invalid="ignore")
+def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: _Workspace) -> None:
+    """Write T(x) to z and the log-determinant of T at x to logdet."""
+    n = x.shape[0]
+    logdet[...] = 0.0
+    z_in = x
     for block in reversed(model.blocks):
-        cond = x[:, :block.d_cond]
-        trans = x[:, block.d_cond:]
-        th, t, _ = _coupling(model, block, cond)
-        s_eff = model.config.clamp_alpha * th
-        back = (trans - t) * np.exp(-s_eff)
-        u = np.concatenate([cond, back], axis=1)
-        x = u[:, block.inv_perm]
-        logdet = logdet - s_eff.sum(axis=1)
-        if not np.all(np.isfinite(x)):
+        cond = ws.cond[:n]
+        cond[...] = z_in[:, :block.d_cond]
+        s, t, _ = _coupling(model, block, ws, n)
+        logdet -= s.sum(axis=1)
+        inv_exp_s = np.exp(np.negative(s, out=s), out=s)
+        back = np.subtract(z_in[:, block.d_cond:], t, out=ws.trans[:n])
+        back *= inv_exp_s
+        # undo the permutation: column perm[k] of the block's input was
+        # column k of its permuted input
+        z[:, block.perm[:block.d_cond]] = cond
+        z[:, block.perm[block.d_cond:]] = back
+        if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite values inverting block {block.index}")
-    return x, logdet
+        z_in = z
 
 
 def _checked_batch(model: FlowModel, x) -> Array:
@@ -197,9 +243,10 @@ def _checked_batch(model: FlowModel, x) -> Array:
 
 
 def _by_row_blocks(model: FlowModel, x, step) -> tuple[Array, Array]:
-    """Run the row-wise map step(model, rows) -> (out, logdet, ...) on
-    consecutive blocks of _BLOCK_ROWS rows of x; the input is checked as
-    a whole first, so a non-finite row fails the same way in any block."""
+    """Run the row-wise map step(model, rows, out, logdet, workspace) on
+    consecutive blocks of _BLOCK_ROWS rows of x, all in one workspace; the
+    input is checked as a whole first, so a non-finite row fails the same
+    way in any block."""
     x = _checked_batch(model, x)
     n = x.shape[0]
     out = np.empty_like(x)
@@ -208,8 +255,9 @@ def _by_row_blocks(model: FlowModel, x, step) -> tuple[Array, Array]:
     # _BLOCK_ROWS only when the batch is: BLAS may use another kernel, with
     # another summation order, for a matmul of a few rows
     edges = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
+    ws = _Workspace(model, max(hi - lo for lo, hi in zip(edges, edges[1:])))
     for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi], logdet[lo:hi] = step(model, x[lo:hi])[:2]
+        step(model, x[lo:hi], out[lo:hi], logdet[lo:hi], ws)
     return out, logdet
 
 
@@ -220,7 +268,10 @@ def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
 
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
-    return -_nll(model, *forward_latent(model, x))
+    nll = _nll(model, *forward_latent(model, x))
+    if not np.all(np.isfinite(nll)):
+        raise NumericError("non-finite negative log-likelihood")
+    return -nll
 
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
@@ -264,7 +315,9 @@ def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, dict[str, Ar
     uniform weights 1/n, the clamped contrastive term uses negative
     weights on the active contrastive samples only.
     """
-    z, logdet, caches = _forward_pass(model, _checked_batch(model, x), want_cache=True)
+    x = _checked_batch(model, x)
+    z, logdet = np.empty_like(x), np.empty(x.shape[0])
+    caches = _forward_pass(model, x, z, logdet)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (z.shape[0],):
         raise DimensionError("weights must be one scalar per sample")

@@ -296,6 +296,7 @@ def _bad_inputs(tmp_path):
     (tmp_path / "label_x.csv").write_text("f0,f1,label\n1.0,2.0,x\n")
     (tmp_path / "label_300.csv").write_text("f0,f1,label\n1.0,2.0,300\n")
     (tmp_path / "nan.csv").write_text("f0,f1\n1.0,nan\n")
+    (tmp_path / "huge.csv").write_text("f0,f1\n1e308,1e308\n")
     save_features(datasets.FeatureSet(np.ones((2, 2)), [0, 1]), tmp_path / "byte.cftr")
     raw = (tmp_path / "byte.cftr").read_bytes()
     (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
@@ -320,6 +321,8 @@ def _bad_inputs(tmp_path):
         "label_300": ("score", score("label_300.csv"), 3),
         "label_byte_200": ("score", score("byte.cftr"), 3),
         "nan_feature": ("score", score("nan.csv"), 2),
+        # finite z under the identity init model, whose squared norm overflows
+        "nll_overflow": ("score", score("huge.csv"), 1),
         "zero_blocks": ("train", {"data_path": str(tmp_path / "inl.csv"),
                                   "model": {"n_blocks": 0}}, 2),
         "clamp_alpha_0": ("train", {"data_path": str(tmp_path / "inl.csv"),
@@ -340,8 +343,9 @@ def _bad_inputs(tmp_path):
     }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["eval_abc_cell", "label_x", "label_300", "label_byte_200",
-                                  "nan_feature", "zero_blocks", "clamp_alpha_0",
+                                  "nan_feature", "nll_overflow", "zero_blocks", "clamp_alpha_0",
                                   "cftr_rows_2e62", "cftr_trailing_bytes", "cflw_alpha_0",
                                   "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge",
                                   "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
@@ -389,6 +393,7 @@ def test_score_on_corrupt_files_exits_without_traceback(tmp_path_factory, data):
     assert rc == 0 or len(err.getvalue().strip().splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_score_overflow_in_a_later_block_exits_1(tmp_path, capsys):
     # a finite value that overflows inside the flow, in the second block of rows
     model = flows.init_model(2, n_blocks=1, hidden_width=4, seed=0)

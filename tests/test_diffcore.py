@@ -57,6 +57,27 @@ def test_forward_shape_mismatch():
         mlp_forward(store, spec, np.zeros((2, 4)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(activation=st.sampled_from(["relu", "softplus"]), n_hidden=st.integers(0, 2),
+       in_width=st.integers(0, 5), rows=st.integers(0, 7), spare=st.integers(0, 3),
+       seed=st.integers(0, 10_000))
+def test_forward_into_buffers_matches_cached_forward(activation, n_hidden, in_width, rows,
+                                                     spare, seed):
+    spec = MlpSpec(in_width, 3, hidden_width=4, n_hidden_layers=n_hidden, activation=activation)
+    store = make_store(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in store.params.values():
+        p += rng.standard_normal(p.shape)
+    x = 2.0 * rng.standard_normal((rows, in_width))
+    want, cache = mlp_forward(store, spec, x)
+    # buffers with more rows than x, filled with garbage
+    out = [np.full((rows + spare, fan_out), np.nan) for _, fan_out in spec.layer_dims()]
+    got, no_cache = mlp_forward(store, spec, x, out=out)
+    assert no_cache is None and cache is not None
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(out[-1][:rows], want)
+
+
 def test_backward_zero_grad_output():
     spec = MlpSpec(2, 2, hidden_width=3, n_hidden_layers=1)
     store = make_store(spec, seed=3)

@@ -4,14 +4,18 @@ Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache (or a forward pass in place in
 caller-given arrays, with no cache), a central-difference gradient
-oracle for testing, and an in-place Adam step over a ParamStore that
-reads a gradient dict.
+oracle for testing, an in-place Adam step over a ParamStore that reads
+a gradient dict, and the thread count of the BLAS that runs the matmuls.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +35,69 @@ def require_ints(owner, *names: str) -> None:
         value = getattr(owner, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive_reals(owner, *names: str) -> None:
+    """ValueError unless each named attribute of `owner` is a positive,
+    finite real number (bool is not)."""
+    for name in names:
+        value = getattr(owner, name)
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not (math.isfinite(value) and value > 0)):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None without one; found on first use, not at import."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def blas_threads() -> int:
+    """Thread count of the OpenBLAS that numpy loaded; 1 without one."""
+    funcs = _openblas()
+    return funcs[0]() if funcs else 1
+
+
+# held while BLAS runs at one thread, so that a second caller cannot save
+# the lowered count and restore it after the first has restored the real one
+_BLAS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with BLAS at one thread, restoring its thread count
+    afterwards, also when the body raises."""
+    funcs = _openblas()
+    if funcs is None:
+        yield
+        return
+    get, put = funcs
+    with _BLAS_LOCK:
+        saved = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(saved)
 
 
 def as_batch(x, cols: int | None = None) -> Array:

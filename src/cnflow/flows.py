@@ -14,15 +14,19 @@ log_prob includes the -D/2 * log(2 pi) normalizing constant, so quadrature
 of exp(log_prob) over a covering grid is a meaningful normalization check.
 
 The forward-only maps (forward_latent, log_prob, inverse, sample) run in
-consecutive blocks of _BLOCK_ROWS rows.  One call allocates one
-workspace, sized to its largest block, and every coupling block of every
-row block computes in place in it: the working memory is that of one
-block whatever the batch size, and a block allocates only its per-row
-log-scale sums and the mask of its finiteness check.  Every step treats
-rows independently, and BLAS computes each output row of a matmul the same
-way whatever the other rows are as long as it keeps to one kernel, so the
-result is bitwise that of one whole-batch pass unless BLAS picks a
-different kernel for a block's smaller matmuls than for the whole batch's.
+consecutive blocks of _BLOCK_ROWS rows, shared out among as many workers
+as BLAS has threads, each worker with BLAS at one thread.  Each worker
+allocates one workspace, sized to the largest block, and every coupling
+block of every row block it runs computes in place in it: the working
+memory is that of one block per worker whatever the batch size, and a
+block allocates only its per-row log-scale sums and the mask of its
+finiteness check.  Every step treats rows independently, and BLAS
+computes each output row of a matmul the same way whatever the other rows
+are as long as it keeps to one kernel, so the result is bitwise that of
+one whole-batch pass unless BLAS picks a different kernel for a block's
+smaller matmuls than for the whole batch's.  OpenBLAS splits a matmul's
+rows and columns among its threads but never the inner sum, so the
+number of workers does not change a bit either.
 
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
@@ -34,12 +38,14 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (MlpCache, MlpSpec, ParamStore, as_batch, init_mlp_params,
-                       mlp_backward, mlp_forward, require_ints)
+from .diffcore import (MlpCache, MlpSpec, ParamStore, as_batch, blas_threads,
+                       init_mlp_params, mlp_backward, mlp_forward, require_ints,
+                       require_positive_reals, single_blas_thread)
 from .errors import DimensionError, FormatError, NumericError
 
 Array = np.ndarray
@@ -65,8 +71,7 @@ class FlowConfig:
         require_ints(self, "n_blocks", "hidden_width", "n_hidden_layers")
         if self.n_blocks < 1:
             raise DimensionError("n_blocks must be >= 1")
-        if not (math.isfinite(self.clamp_alpha) and self.clamp_alpha > 0):
-            raise ValueError("clamp_alpha must be positive and finite")
+        require_positive_reals(self, "clamp_alpha")
 
 
 @dataclass
@@ -143,10 +148,11 @@ class _BlockCache:
 
 
 class _Workspace:
-    """Arrays for the coupling steps of up to `rows` rows.  A forward-only
-    call takes one and reuses it for every coupling block and row block;
-    the cached pass takes a new one per coupling block, whose cache keeps
-    its arrays, and lets the MLP allocate (and cache) its own outputs."""
+    """Arrays for the coupling steps of up to `rows` rows.  A worker of a
+    forward-only call takes one and reuses it for every coupling block and
+    row block it runs; the cached pass takes a new one per coupling block,
+    whose cache keeps its arrays, and lets the MLP allocate (and cache)
+    its own outputs."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         spec = model.blocks[0].subnet
@@ -158,6 +164,9 @@ class _Workspace:
         self.th = np.empty((rows, d_trans)) if cached else self.exp_s
         self.layers = None if cached else [np.empty((rows, fan_out))
                                            for _, fan_out in spec.layer_dims()]
+        # the latent and log-determinant of a row block, for log_prob
+        self.z = None if cached else np.empty((rows, model.dim))
+        self.logdet = None if cached else np.empty(rows)
 
 
 def _coupling(model: FlowModel, block: CouplingBlock, ws: _Workspace, n: int):
@@ -236,39 +245,79 @@ def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: _Work
 
 
 def _checked_batch(model: FlowModel, x) -> Array:
+    """x as a float64 batch; the input is checked as a whole, so a
+    non-finite row fails the same way in any row block."""
     x = as_batch(x, model.dim)
     if not np.all(np.isfinite(x)):
         raise NumericError("input batch contains non-finite values")
     return x
 
 
-def _by_row_blocks(model: FlowModel, x, step) -> tuple[Array, Array]:
-    """Run the row-wise map step(model, rows, out, logdet, workspace) on
-    consecutive blocks of _BLOCK_ROWS rows of x, all in one workspace; the
-    input is checked as a whole first, so a non-finite row fails the same
-    way in any block."""
-    x = _checked_batch(model, x)
+def _nll_rows(model: FlowModel, x: Array, nll: Array, ws: _Workspace) -> None:
+    """Write the NLL of the rows of x to nll, with their latent in ws."""
     n = x.shape[0]
-    out = np.empty_like(x)
-    logdet = np.empty(n)
+    z, logdet = ws.z[:n], ws.logdet[:n]
+    _forward_pass(model, x, z, logdet, ws)
+    nll[...] = _nll(model, z, logdet)
+
+
+def _by_row_blocks(model: FlowModel, x: Array, step, *outs: Array) -> None:
+    """Run the row-wise map step(model, rows, *out_rows, workspace) on
+    consecutive blocks of _BLOCK_ROWS rows of x, writing each block's rows
+    of the outputs.
+
+    Worker k of W runs blocks k, k + W, k + 2W, ... in a workspace of its
+    own, where W is the number of blocks or the BLAS thread count, whichever
+    is smaller.  The calling thread is worker 0, and BLAS runs at one
+    thread while there are more.  If blocks raise, the exception of the
+    first of them is raised once every worker has stopped."""
+    n = x.shape[0]
     # the last block takes the remainder, so a block is shorter than
     # _BLOCK_ROWS only when the batch is: BLAS may use another kernel, with
     # another summation order, for a matmul of a few rows
     edges = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
-    ws = _Workspace(model, max(hi - lo for lo, hi in zip(edges, edges[1:])))
-    for lo, hi in zip(edges, edges[1:]):
-        step(model, x[lo:hi], out[lo:hi], logdet[lo:hi], ws)
-    return out, logdet
+    n_blocks = len(edges) - 1
+    rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    n_workers = 1 if n_blocks == 1 else min(n_blocks, blas_threads())
+    at = [0] * n_workers  # the block each worker runs or stopped at
+
+    def work(k: int) -> None:
+        ws = _Workspace(model, rows)
+        for i in range(k, n_blocks, n_workers):
+            at[k] = i
+            lo, hi = edges[i], edges[i + 1]
+            step(model, x[lo:hi], *(out[lo:hi] for out in outs), ws)
+
+    if n_workers == 1:
+        work(0)
+        return
+    failed = []
+    with single_blas_thread(), ThreadPoolExecutor(n_workers - 1) as pool:
+        futures = {k: pool.submit(work, k) for k in range(1, n_workers)}
+        try:
+            work(0)
+        except Exception as exc:
+            failed.append((at[0], exc))
+    for k, future in futures.items():
+        if future.exception() is not None:
+            failed.append((at[k], future.exception()))
+    if failed:
+        raise min(failed, key=lambda item: item[0])[1]
 
 
 def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
     """z = T^-1(x) and the exact per-sample log |det J| of the map."""
-    return _by_row_blocks(model, x, _forward_pass)
+    x = _checked_batch(model, x)
+    z, logdet = np.empty_like(x), np.empty(x.shape[0])
+    _by_row_blocks(model, x, _forward_pass, z, logdet)
+    return z, logdet
 
 
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
-    nll = _nll(model, *forward_latent(model, x))
+    x = _checked_batch(model, x)
+    nll = np.empty(x.shape[0])
+    _by_row_blocks(model, x, _nll_rows, nll)
     if not np.all(np.isfinite(nll)):
         raise NumericError("non-finite negative log-likelihood")
     return -nll
@@ -276,7 +325,9 @@ def log_prob(model: FlowModel, x) -> Array:
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
     """x = T(z); with return_logdet also the log |det J| of T at z."""
-    x, logdet = _by_row_blocks(model, z, _inverse_pass)
+    z = _checked_batch(model, z)
+    x, logdet = np.empty_like(z), np.empty(z.shape[0])
+    _by_row_blocks(model, z, _inverse_pass, x, logdet)
     if return_logdet:
         return x, logdet
     return x

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import adam_step, require_ints
+from .diffcore import adam_step, require_ints, require_positive_reals
 from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import FlowModel, log_prob, weighted_nll_grad
 
@@ -51,6 +51,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_ints(self, "batch_size", "max_epochs", "patience", "seed", "finetune_epochs")
+        require_positive_reals(self, "lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not math.isfinite(self.clamp_tau):
@@ -271,6 +272,8 @@ def _val_split(data: Array, fraction: float, rng: np.random.Generator):
     """Last `fraction` of a seeded shuffle becomes the validation set."""
     n = data.shape[0]
     n_val = int(round(fraction * n))
+    if n and n_val == n:
+        raise DegenerateDataError(f"val_fraction {fraction} leaves none of {n} rows for training")
     perm = rng.permutation(n)
     if n_val == 0:
         return data[perm], None

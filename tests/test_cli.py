@@ -340,6 +340,10 @@ def _bad_inputs(tmp_path):
         "batch_size_2.5": nll_train(train={"batch_size": 2.5}),
         "patience_1.5": nll_train(train={"patience": 1.5}),
         "seed_1.5": nll_train(seed=1.5),
+        "val_fraction_leaves_no_rows": nll_train(train={"val_fraction": 0.999}),
+        "lr_negative": nll_train(train={"lr": -1.0}),
+        "lr_string": nll_train(train={"lr": "x"}),
+        "lr_nan": nll_train(train={"lr": float("nan")}),
     }
 
 
@@ -350,7 +354,8 @@ def _bad_inputs(tmp_path):
                                   "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge",
                                   "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
                                   "max_epochs_1.5", "batch_size_2.5", "patience_1.5",
-                                  "seed_1.5"])
+                                  "seed_1.5", "val_fraction_leaves_no_rows", "lr_negative",
+                                  "lr_string", "lr_nan"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     kind, payload, code = _bad_inputs(tmp_path)[case]
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
@@ -393,19 +398,37 @@ def test_score_on_corrupt_files_exits_without_traceback(tmp_path_factory, data):
     assert rc == 0 or len(err.getvalue().strip().splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("error")
-def test_score_overflow_in_a_later_block_exits_1(tmp_path, capsys):
-    # a finite value that overflows inside the flow, in the second block of rows
+def _score_with_overflow_at(tmp_path, capsys, n_rows, bad_row):
+    """Exit code and stderr of `score` on n_rows rows, of which bad_row is
+    finite but overflows inside the flow."""
     model = flows.init_model(2, n_blocks=1, hidden_width=4, seed=0)
     model.store.params["blk0.w2"][...] = 1.0
     flows.save_model(model, tmp_path / "m.cflw")
-    rows = ["0.0,0.0"] * (flows._BLOCK_ROWS + 10)
-    rows[flows._BLOCK_ROWS + 3] = "1e308,1e308"
+    rows = ["0.0,0.0"] * n_rows
+    rows[bad_row] = "1e308,1e308"
     (tmp_path / "d.csv").write_text("f0,f1\n" + "\n".join(rows) + "\n")
     payload = {"model_path": str(tmp_path / "m.cflw"), "data_path": str(tmp_path / "d.csv")}
     rc = run_cli(["score", "--out", str(tmp_path / "out"), "--config",
                   str(_write_cfg(tmp_path, payload))])
-    err = capsys.readouterr().err
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_score_overflow_in_a_later_block_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(flows, "blas_threads", lambda: 1)
+    rc, err = _score_with_overflow_at(tmp_path, capsys, 3 * flows._BLOCK_ROWS + 10,
+                                      flows._BLOCK_ROWS + 3)
+    assert rc == 1
+    assert err.startswith("numeric failure") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_score_overflow_in_a_block_of_the_second_worker_exits_1(tmp_path, capsys, monkeypatch):
+    # three row blocks on two workers: row B + 3 is in block 1, which the
+    # second worker runs in its own thread
+    monkeypatch.setattr(flows, "blas_threads", lambda: 2)
+    rc, err = _score_with_overflow_at(tmp_path, capsys, 3 * flows._BLOCK_ROWS + 10,
+                                      flows._BLOCK_ROWS + 3)
     assert rc == 1
     assert err.startswith("numeric failure") and len(err.strip().splitlines()) == 1
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import flows
+from cnflow import diffcore, flows
 from cnflow.diffcore import finite_difference_grad
 from cnflow.errors import FormatError, NumericError
 from cnflow.training import nll_objective
@@ -227,7 +229,9 @@ def test_non_finite_row_in_a_later_block_raises(fn):
         fn(model, x)
 
 
-def test_log_prob_peak_memory_is_bounded_by_one_block():
+def log_prob_peak_in_block_activations():
+    """tracemalloc peak of log_prob on 8192x8 rows under a width-256 model,
+    in hidden activations of one row block."""
     model = flows.init_model(8, n_blocks=2, hidden_width=256, seed=0)
     x = np.random.default_rng(0).standard_normal((8 * B, 8))
     flows.log_prob(model, x[:4])
@@ -237,10 +241,85 @@ def test_log_prob_peak_memory_is_bounded_by_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak / (B * 256 * 8)
+
+
+def test_log_prob_peak_memory_is_bounded_by_one_block(monkeypatch):
     # a whole-batch pass peaks at about 66 hidden activations of one block,
-    # a blocked pass with one workspace per call at about 2.4
-    one_block_activation = B * 256 * 8
-    assert peak < 4 * one_block_activation
+    # a blocked pass on one worker at about 2.2
+    monkeypatch.setattr(flows, "blas_threads", lambda: 1)
+    assert log_prob_peak_in_block_activations() < 4
+
+
+def test_log_prob_peak_memory_is_one_block_per_worker(monkeypatch):
+    monkeypatch.setattr(flows, "blas_threads", lambda: 2)
+    assert log_prob_peak_in_block_activations() < 2 * 2.5
+
+
+# --- parallel row blocks ----------------------------------------------------
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+@settings(max_examples=6, deadline=None)
+@given(n=st.sampled_from([B + 1, 2 * B, 3 * B + 5, 5 * B]),
+       dim=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=10_000))
+def test_parallel_row_blocks_match_one_worker(n_workers, n, dim, seed):
+    model = small_model(dim=dim, n_blocks=2, hidden=5, seed=seed)
+    perturb(model, seed=seed)
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    threads = diffcore.blas_threads()
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "blas_threads", lambda: 1)
+        serial = forward_only_outputs(model, x)
+        mp.setattr(flows, "blas_threads", lambda: n_workers)
+        if n_workers == 4:
+            # more workers than cores, with a thread switch at every chance
+            sys.setswitchinterval(1e-6)
+        try:
+            parallel = forward_only_outputs(model, x)
+            assert diffcore.blas_threads() == threads
+            last = len(model.blocks[1].subnet.layer_dims()) - 1
+            model.store.params[f"blk1.b{last}"][...] = np.nan
+            with pytest.raises(NumericError, match="block 1"):
+                flows.log_prob(model, x)
+            assert diffcore.blas_threads() == threads
+        finally:
+            sys.setswitchinterval(interval)
+    for got, want in zip(parallel, serial):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_workers", [2, 3, 4])
+def test_the_first_failing_row_block_is_the_one_raised(monkeypatch, n_workers):
+    # blocks 1, 2 and 4 of 5 raise, and block 1 raises last in time
+    monkeypatch.setattr(flows, "blas_threads", lambda: n_workers)
+    model = small_model(dim=2)
+    x = np.zeros((5 * B, 2))
+    x[:, 0] = np.arange(5 * B) // B
+    ran, blas_in_step = [], []
+
+    def step(model, rows, out, ws):
+        block = int(rows[0, 0])
+        ran.append(block)
+        blas_in_step.append(diffcore.blas_threads())
+        if block == 1:
+            time.sleep(0.05)
+        if block in (1, 2, 4):
+            raise ValueError(f"block {block}")
+
+    threads = diffcore.blas_threads()
+    with pytest.raises(ValueError, match="^block 1$"):
+        flows._by_row_blocks(model, x, step, np.empty(5 * B))
+    assert diffcore.blas_threads() == threads
+    assert set(blas_in_step) == {1}
+    # every worker ran its blocks up to its first failure before the raise
+    expected = []
+    for k in range(n_workers):
+        for block in range(k, 5, n_workers):
+            expected.append(block)
+            if block in (1, 2, 4):
+                break
+    assert sorted(ran) == sorted(expected)
 
 
 # --- inversion / sampling ---------------------------------------------------

@@ -69,19 +69,6 @@ DEFAULTS: dict[str, dict] = {
         "train": {"batch_size": 512, "lr": 1e-3, "max_epochs": 30,
                   "patience": 1000000, "val_fraction": 0.0},
     },
-    "clamp-sweep": {
-        "seed": 0,
-        "out": None,
-        "epsilons": [0.0, -2.0, -6.0, -20.0],
-        "n_train": 20000,
-        "n_contrastive": 20000,
-        "inlier": {"mean": [0.0], "sd": [1.0]},
-        "contrastive": {"mean": [1.0], "sd": [2.0]},
-        "grid": {"lo": -6.0, "hi": 6.0, "n": 4001},
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
-        "train": {"batch_size": 1024, "lr": 1e-3, "max_epochs": 60,
-                  "patience": 1000000, "val_fraction": 0.0},
-    },
     "mu-sweep": {
         "seed": 0,
         "out": None,
@@ -151,6 +138,8 @@ DEFAULTS: dict[str, dict] = {
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
 }
+DEFAULTS["clamp-sweep"] = dict({k: v for k, v in copy.deepcopy(DEFAULTS["toy1d"]).items()
+                                if k != "epsilon"}, epsilons=[0.0, -2.0, -6.0, -20.0])
 DEFAULTS["informed"] = dict(copy.deepcopy(DEFAULTS["mu-sweep"]), variant="informed",
                             mu_grid=[0.5, 1.0], methods=["cf"])
 
@@ -555,8 +544,7 @@ def run_report(cfg: dict) -> dict:
     per_method_means = {}
     for m in cfg["methods"]:
         result = one_vs_rest(class_sets, m, tc, contrastive, root_seed=seed,
-                             test_fraction=cfg["test_fraction"], class_names=names,
-                             flow_config=fc)
+                             test_fraction=cfg["test_fraction"], flow_config=fc)
         rows = []
         for i, name in enumerate(names):
             cells = [f"{100.0 * v:.2f}" for v in result.matrix[i]]

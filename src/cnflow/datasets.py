@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError, FormatError
+from .oracle import GaussianSpec
 
 Array = np.ndarray
 
@@ -65,28 +66,11 @@ def gen_gaussian(mean, scale, n: int, seed: int) -> FeatureSet:
     """Seeded Gaussian sample; scale is a scalar/vector of sds or a covariance."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    d = mean.shape[0]
-    scale = np.asarray(scale, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, d))
-    if scale.ndim == 2:
-        if scale.shape != (d, d):
-            raise DimensionError("covariance shape != (D, D)")
-        try:
-            chol = np.linalg.cholesky(scale)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive definite") from None
-        data = z @ chol.T + mean
-    else:
-        if scale.ndim == 0:
-            scale = np.full(d, float(scale))
-        if scale.shape != (d,):
-            raise DimensionError("per-dimension scale length != D")
-        if np.any(scale <= 0):
-            raise ValueError("std-devs must be positive")
-        data = z * scale + mean
-    return FeatureSet(data)
+    spec = GaussianSpec(mean, scale)
+    z = np.random.default_rng(seed).standard_normal((n, spec.dim))
+    if spec.is_diagonal:
+        return FeatureSet(z * spec.scale + spec.mean)
+    return FeatureSet(z @ np.linalg.cholesky(spec.scale).T + spec.mean)
 
 
 @dataclass
@@ -224,9 +208,7 @@ def load_features(path, format: str | None = None) -> FeatureSet:
                 labels = np.frombuffer(fh.read(n), dtype=np.uint8)
                 if np.any(labels > LABEL_CONTRASTIVE):
                     raise FormatError(f"label bytes outside the codes {LABEL_CODES}")
-        if not np.all(np.isfinite(data)):
-            raise DegenerateDataError("feature file contains non-finite entries")
-        return FeatureSet(data.reshape(n, dim), labels)
+        return FeatureSet(data, labels)
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -253,8 +235,6 @@ def load_features(path, format: str | None = None) -> FeatureSet:
             if has_labels and labels[-1] not in LABEL_CODES:
                 raise FormatError(f"line {line_no}: label {labels[-1]} is not in {LABEL_CODES}")
         data = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-        if not np.all(np.isfinite(data)):
-            raise DegenerateDataError("CSV contains non-finite entries")
         return FeatureSet(data, np.array(labels, dtype=np.int8) if has_labels else None)
 
 

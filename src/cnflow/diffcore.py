@@ -3,9 +3,9 @@
 Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache (or a forward pass in place in
-caller-given arrays, with no cache), a central-difference gradient
-oracle for testing, an in-place Adam step over a ParamStore that reads
-a gradient dict, and the thread count of the BLAS that runs the matmuls.
+caller-given arrays, with no cache), an in-place Adam step over a
+ParamStore that reads a gradient dict, and the thread count of the BLAS
+that runs the matmuls.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -264,33 +263,6 @@ def mlp_backward(cache: MlpCache, grad_out: Array) -> tuple[dict[str, Array], Ar
         grads[prefix + f"b{layer}"] = g.sum(axis=0)
         g = g @ cache.weights[layer].T
     return grads, g
-
-
-def finite_difference_grad(loss_fn: Callable[[], float], store: ParamStore,
-                           h: float = 1e-5) -> dict[str, Array]:
-    """Central differences (L(t+h)-L(t-h))/2h per coordinate.
-
-    loss_fn must be deterministic and read its parameters from `store`.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    out: dict[str, Array] = {}
-    for name, arr in store.params.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = float(loss_fn())
-            flat[i] = orig - h
-            lm = float(loss_fn())
-            flat[i] = orig
-            if not (math.isfinite(lp) and math.isfinite(lm)):
-                raise NumericError(f"non-finite loss while perturbing {name}[{i}]")
-            gflat[i] = (lp - lm) / (2.0 * h)
-        out[name] = g
-    return out
 
 
 def adam_step(store: ParamStore, grads: dict[str, Array], lr: float,

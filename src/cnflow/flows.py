@@ -139,20 +139,12 @@ def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
     return _assemble(dim, cfg, subnet, draws)
 
 
-@dataclass
-class _BlockCache:
-    trans_in: Array
-    th: Array        # tanh(raw log-scale / alpha)
-    exp_s: Array
-    mlp_cache: MlpCache
-
-
 class _Workspace:
     """Arrays for the coupling steps of up to `rows` rows.  A worker of a
     forward-only call takes one and reuses it for every coupling block and
-    row block it runs; the cached pass takes a new one per coupling block,
-    whose cache keeps its arrays, and lets the MLP allocate (and cache)
-    its own outputs."""
+    row block it runs; the cached pass keeps a new one per coupling block
+    for the backward pass (trans, th = tanh(raw / alpha) and exp_s) and
+    lets the MLP allocate (and cache) its own outputs."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         spec = model.blocks[0].subnet
@@ -191,14 +183,14 @@ def _nll(model: FlowModel, z: Array, logdet: Array) -> Array:
 # is then the only one
 @np.errstate(over="ignore", invalid="ignore")
 def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
-                  ws: _Workspace | None = None) -> list[_BlockCache]:
+                  ws: _Workspace | None = None) -> list[tuple[_Workspace, MlpCache]]:
     """Write the latent of x to z and its log-determinant to logdet, and
-    return the block caches of the backward pass.  With a workspace
-    (forward-only), every block computes in its arrays and no cache is
-    kept."""
+    return the (workspace, MLP cache) of every block for the backward
+    pass.  With a workspace (forward-only), every block computes in its
+    arrays and no cache is kept."""
     n = x.shape[0]
     logdet[...] = 0.0
-    caches: list[_BlockCache] = []
+    caches = []
     z_in = x
     for block in model.blocks:
         w = ws or _Workspace(model, n, cached=True)
@@ -216,7 +208,7 @@ def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite values after coupling block {block.index}")
         if ws is None:
-            caches.append(_BlockCache(trans, w.th[:n], exp_s, mlp_cache))
+            caches.append((w, mlp_cache))
         z_in = z
     return caches
 
@@ -340,19 +332,19 @@ def sample(model: FlowModel, n: int, seed: int) -> Array:
     return inverse(model, rng.standard_normal((n, model.dim)))
 
 
-def _backward_pass(model: FlowModel, caches: list[_BlockCache],
+def _backward_pass(model: FlowModel, caches: list[tuple[_Workspace, MlpCache]],
                    dz: Array, dld: Array) -> tuple[dict[str, Array], Array]:
     """Gradients of sum_i [dz_i . z_i-path + dld_i * logdet_i] w.r.t. all
     parameters and the input batch."""
     g = dz
     grads: dict[str, Array] = {}
-    for block, cache in zip(reversed(model.blocks), reversed(caches)):
+    for block, (w, mlp_cache) in zip(reversed(model.blocks), reversed(caches)):
         g_out = g[:, block.d_cond:]
-        d_s = g_out * cache.trans_in * cache.exp_s + dld[:, None]
-        d_raw = np.concatenate([d_s * (1.0 - cache.th ** 2), g_out], axis=1)
-        sub_grads, g_cond_sub = mlp_backward(cache.mlp_cache, d_raw)
+        d_s = g_out * w.trans * w.exp_s + dld[:, None]
+        d_raw = np.concatenate([d_s * (1.0 - w.th ** 2), g_out], axis=1)
+        sub_grads, g_cond_sub = mlp_backward(mlp_cache, d_raw)
         grads.update(sub_grads)
-        g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * cache.exp_s], axis=1)
+        g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * w.exp_s], axis=1)
         g_prev = np.empty_like(g_u)
         g_prev[:, block.perm] = g_u
         g = g_prev
@@ -434,7 +426,3 @@ def load_model(path) -> FlowModel:
                              for name, shape in shapes.items()}
 
         return _assemble(dim, cfg, subnet, block_arrays())
-
-
-def parameter_count(model: FlowModel) -> int:
-    return model.store.n_params()

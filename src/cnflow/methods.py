@@ -66,21 +66,18 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
 
 @dataclass
 class OneVsRestResult:
-    class_names: list[str]
     matrix: Array      # (k, k-1): row = inlier class, columns = other classes in order
     row_means: Array   # (k,)
 
 
 def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
                 root_seed: int = 0, test_fraction: float = 0.2,
-                class_names=None, flow_config=None) -> OneVsRestResult:
+                flow_config=None) -> OneVsRestResult:
     """Train/fit once per inlier class and report the AUROC against each
     other class plus the row mean."""
     if len(class_sets) < 2:
         raise DegenerateDataError("one_vs_rest needs at least 2 classes")
     k = len(class_sets)
-    if class_names is None:
-        class_names = [f"class{i}" for i in range(k)]
     matrix = np.zeros((k, k - 1))
     means = np.zeros(k)
     for i, inlier in enumerate(class_sets):
@@ -91,4 +88,4 @@ def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
         others = [other for j, other in enumerate(class_sets) if j != i]
         matrix[i] = [auroc(s_in, score(other.data)) for other in others]
         means[i] = matrix[i].mean()
-    return OneVsRestResult(list(class_names), matrix, means)
+    return OneVsRestResult(matrix, means)

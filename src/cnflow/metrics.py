@@ -69,10 +69,6 @@ def roc_curve(inlier_scores, outlier_scores) -> Array:
     return points
 
 
-def roc_area(points: Array) -> float:
-    return float(np.trapezoid(points[:, 1], points[:, 0]))
-
-
 def histogram(scores, n_bins: int, value_range: tuple[float, float]) -> tuple[Array, Array]:
     """Left-closed right-open bins (last bin closed); counts always sum to
     len(scores): values outside the range are clipped into the edge bins."""

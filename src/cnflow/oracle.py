@@ -154,9 +154,7 @@ def grid_1d(lo: float, hi: float, n: int = DEFAULT_GRID_POINTS) -> tuple[Array]:
 
 
 def grid_2d(lo: float, hi: float, n: int) -> tuple[Array, Array]:
-    if not (hi > lo) or n < 2:
-        raise GridError("need hi > lo and at least 2 points")
-    axis = np.linspace(lo, hi, n)
+    (axis,) = grid_1d(lo, hi, n)
     return (axis, axis.copy())
 
 

@@ -32,6 +32,8 @@ from .flows import FlowModel, log_prob, weighted_nll_grad
 Array = np.ndarray
 
 OBJECTIVES = ("nll", "contrastive", "cf_ft")
+# contrastive epochs after the NLL run of the cf_ft objective
+FINETUNE_EPOCHS = 2
 
 
 @dataclass
@@ -44,13 +46,9 @@ class TrainConfig:
     val_fraction: float = 0.1
     seed: int = 0
     objective: str = "contrastive"
-    finetune_epochs: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        require_ints(self, "batch_size", "max_epochs", "patience", "seed", "finetune_epochs")
+        require_ints(self, "batch_size", "max_epochs", "patience", "seed")
         require_positive_reals(self, "lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -58,8 +56,6 @@ class TrainConfig:
             raise ValueError("clamp_tau must be finite")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.objective == "cf_ft" and self.finetune_epochs < 1:
-            raise ValueError("cf_ft needs finetune_epochs >= 1")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -182,7 +178,7 @@ def _train_phase(model: FlowModel, train_in: Array, train_c: Array | None,
                 loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau)
             else:
                 loss, grads = nll_objective(model, xb)
-            adam_step(model.store, grads, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(model.store, grads, cfg.lr)
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
         metric = None
@@ -222,7 +218,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
 
     The i-th inlier batch is paired with the i-th contrastive batch,
     cycling whichever set is shorter.  For the cf_ft objective, a full NLL
-    run is followed by `finetune_epochs` of contrastive finetuning with
+    run is followed by FINETUNE_EPOCHS of contrastive finetuning with
     fresh optimizer moments and no early stopping.
 
     By default the proxy-AUROC validation split is carved out of the
@@ -236,8 +232,8 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     data_c = None if contrastive_set is None else _as_data(contrastive_set)
     if data_in.shape[0] == 0:
         raise DegenerateDataError("inlier set is empty")
-    if cfg.objective != "nll" and data_c is None:
-        raise DegenerateDataError(f"objective {cfg.objective!r} needs a contrastive set")
+    if cfg.objective != "nll" and (data_c is None or data_c.shape[0] == 0):
+        raise DegenerateDataError(f"objective {cfg.objective!r} needs a non-empty contrastive set")
     if data_c is not None and data_c.shape[1] != data_in.shape[1]:
         raise DimensionError("inlier and contrastive sets disagree on dimension")
     if data_in.shape[1] != model.dim:
@@ -263,7 +259,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     if cfg.objective == "cf_ft":
         model.store.reset_optimizer()
         _train_phase(model, train_in, train_c, val_in, val_c, cfg,
-                     "contrastive", cfg.finetune_epochs, early_stop=False,
+                     "contrastive", FINETUNE_EPOCHS, early_stop=False,
                      rng_in=rng_ft_in, rng_c=rng_ft_c, history=history)
     return model, history
 

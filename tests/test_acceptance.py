@@ -14,8 +14,8 @@ import pytest
 
 from cnflow import cli, datasets, flows, metrics, oracle, training
 from cnflow.datasets import gen_gaussian, hypersphere_normalize, save_features
-from cnflow.diffcore import finite_difference_grad
 from cnflow.training import TrainConfig, train
+from helpers import finite_difference_grad, roc_area
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -192,7 +192,7 @@ def test_criterion_7_property_suites():
     wins = (s_out[:, None] > s_in[None, :]).sum()
     ties = (s_out[:, None] == s_in[None, :]).sum()
     pairwise = (wins + 0.5 * ties) / 1e8
-    area = metrics.roc_area(metrics.roc_curve(s_in, s_out))
+    area = roc_area(metrics.roc_curve(s_in, s_out))
 
     # Wilcoxon vs exact enumeration for n <= 10
     wil_err = 0.0

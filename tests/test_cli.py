@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from cnflow import cli, datasets, flows, methods, metrics
 from cnflow.datasets import gen_gaussian, save_features
+from cnflow.flows import FlowConfig
+from cnflow.training import TrainConfig
 
 # file headers and the bit width of each field after the magic (None: float64)
 HEADERS = {".cftr": (struct.Struct("<4sHIQB"), (16, 32, 64, 8)),
@@ -301,6 +304,7 @@ def _bad_inputs(tmp_path):
     raw = (tmp_path / "byte.cftr").read_bytes()
     (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
     (tmp_path / "inl.csv").write_text("f0,f1\n1.0,2.0\n2.0,1.0\n")
+    (tmp_path / "empty.csv").write_text("f0,f1\n")
     save_features(datasets.FeatureSet(np.ones((2, 2))), tmp_path / "ok.cftr")
     _with_header_field(tmp_path / "ok.cftr", tmp_path / "rows_2e62.cftr", 3, 2 ** 62)
     (tmp_path / "trailing.cftr").write_bytes((tmp_path / "ok.cftr").read_bytes() + b"\0")
@@ -344,6 +348,8 @@ def _bad_inputs(tmp_path):
         "lr_negative": nll_train(train={"lr": -1.0}),
         "lr_string": nll_train(train={"lr": "x"}),
         "lr_nan": nll_train(train={"lr": float("nan")}),
+        "contrastive_empty": ("train", {"data_path": str(tmp_path / "inl.csv"),
+                                        "contrastive_path": str(tmp_path / "empty.csv")}, 2),
     }
 
 
@@ -355,7 +361,7 @@ def _bad_inputs(tmp_path):
                                   "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
                                   "max_epochs_1.5", "batch_size_2.5", "patience_1.5",
                                   "seed_1.5", "val_fraction_leaves_no_rows", "lr_negative",
-                                  "lr_string", "lr_nan"])
+                                  "lr_string", "lr_nan", "contrastive_empty"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     kind, payload, code = _bad_inputs(tmp_path)[case]
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
@@ -396,6 +402,28 @@ def test_score_on_corrupt_files_exits_without_traceback(tmp_path_factory, data):
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert rc == 0 or len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_nll_train_ignores_an_empty_contrastive_set(tmp_path):
+    (tmp_path / "inl.csv").write_text("f0,f1\n1.0,2.0\n2.0,1.0\n3.0,0.5\n0.5,3.0\n")
+    (tmp_path / "empty.csv").write_text("f0,f1\n")
+    payload = {"data_path": str(tmp_path / "inl.csv"),
+               "contrastive_path": str(tmp_path / "empty.csv"), "objective": "nll",
+               "model": {"n_blocks": 1, "hidden_width": 4}, "train": {"max_epochs": 1}}
+    assert run_cli(["train", "--out", str(tmp_path / "out"), "--config",
+                    str(_write_cfg(tmp_path, payload))]) == 0
+
+
+def test_every_config_field_is_reachable():
+    # a dataclass field that no config key reaches is an option no caller sets
+    def unreachable(config_class, section):
+        keys = set().union(*(d[section] for d in cli.DEFAULTS.values() if section in d))
+        return {f.name for f in dataclasses.fields(config_class)} - keys
+
+    # the runners set objective and seed themselves
+    assert unreachable(TrainConfig, "train") <= {"objective", "seed"}
+    # the softplus gradient checks build flows with these through init_model
+    assert unreachable(FlowConfig, "model") <= {"activation", "n_hidden_layers"}
 
 
 def _score_with_overflow_at(tmp_path, capsys, n_rows, bad_row):

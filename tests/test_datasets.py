@@ -9,6 +9,7 @@ from cnflow.datasets import (LABEL_CONTRASTIVE, LABEL_INLIER, FeatureSet,
                              mix_datasets, permute_marginals, save_features,
                              split)
 from cnflow.errors import (DegenerateDataError, DimensionError, FormatError)
+from cnflow.oracle import GaussianSpec
 
 
 def test_gen_gaussian_statistics():
@@ -21,6 +22,12 @@ def test_gen_gaussian_seeded():
     a = gen_gaussian([1.0, 2.0], [0.5, 2.0], 100, seed=3)
     b = gen_gaussian([1.0, 2.0], [0.5, 2.0], 100, seed=3)
     assert np.array_equal(a.data, b.data)
+    # the exact operations, so callers that seed their inputs keep their bits
+    z = np.random.default_rng(3).standard_normal((100, 2))
+    assert np.array_equal(a.data, z * np.array([0.5, 2.0]) + np.array([1.0, 2.0]))
+    cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+    c = gen_gaussian([1.0, 2.0], cov, 100, seed=3)
+    assert np.array_equal(c.data, z @ np.linalg.cholesky(cov).T + np.array([1.0, 2.0]))
 
 
 def test_gen_gaussian_covariance():
@@ -31,8 +38,15 @@ def test_gen_gaussian_covariance():
 
 
 def test_gen_gaussian_non_pd_covariance():
-    with pytest.raises(ValueError):
-        gen_gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]), 10, seed=0)
+    # a bad scale fails as it does for GaussianSpec: not positive definite,
+    # a zero sd, a wrong-length sd vector, a non-square covariance, 3-D
+    for scale, error in ((np.array([[1.0, 2.0], [2.0, 1.0]]), ValueError),
+                         ([1.0, 0.0], ValueError), ([1.0, 1.0, 1.0], DimensionError),
+                         (np.ones((2, 3)), DimensionError), (np.ones((2, 2, 2)), DimensionError)):
+        for make in (GaussianSpec, lambda m, s: gen_gaussian(m, s, 10, seed=0)):
+            with pytest.raises(error) as info:
+                make([0.0, 0.0], scale)
+            assert info.type is error
 
 
 def test_mix_mu_one_all_broad():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch,
-                             finite_difference_grad, init_mlp_params,
+from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch, init_mlp_params,
                              mlp_backward, mlp_forward)
 from cnflow.errors import DimensionError, NumericError
+from helpers import finite_difference_grad
 
 
 def make_store(spec, seed=0, zero_last=False, prefix=""):

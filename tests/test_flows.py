@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import diffcore, flows
-from cnflow.diffcore import finite_difference_grad
 from cnflow.errors import FormatError, NumericError
 from cnflow.training import nll_objective
+from helpers import finite_difference_grad
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -58,12 +58,12 @@ def test_parameter_count_matches_hand_formula():
     # D=2: conditioner width 1, transformed width 1, subnet 1->512->512->2
     model = flows.init_model(2, n_blocks=8, hidden_width=512, seed=0)
     per_block = (1 * 512 + 512) + (512 * 512 + 512) + (512 * 2 + 2)
-    assert flows.parameter_count(model) == 8 * per_block
+    assert model.store.n_params() == 8 * per_block
 
 
 def test_dim1_blocks_are_constants():
     model = flows.init_model(1, n_blocks=8, hidden_width=64, seed=0)
-    assert flows.parameter_count(model) == 8 * 2
+    assert model.store.n_params() == 8 * 2
     z, logdet = flows.forward_latent(model, np.array([[0.5]]))
     assert z[0, 0] == 0.5 and logdet[0] == 0.0
 

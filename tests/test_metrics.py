@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from cnflow import cli, flows
 from cnflow.errors import DegenerateDataError
-from cnflow.metrics import (ScoreReport, auroc, histogram, outlier_score,
-                            roc_area, roc_curve, wilcoxon_signed_rank)
+from cnflow.metrics import (ScoreReport, auroc, histogram, outlier_score, roc_curve,
+                            wilcoxon_signed_rank)
+from helpers import roc_area
 
 
 def pairwise_auroc(s_in, s_out):

@@ -6,10 +6,10 @@ import pytest
 
 from cnflow import cli, flows
 from cnflow.datasets import gen_gaussian
-from cnflow.diffcore import finite_difference_grad
 from cnflow.errors import DegenerateDataError
 from cnflow.training import (TrainConfig, contrastive_objective, nll_objective,
                              proxy_auroc, select_epsilon, train)
+from helpers import finite_difference_grad
 
 
 def small_model(dim=1, seed=0, activation="relu", hidden=8, n_blocks=2):
@@ -162,8 +162,7 @@ def test_saturated_contrastive_training_bit_identical_to_nll():
 def test_cf_ft_runs_both_phases():
     inl = gen_gaussian([0.0], 1.0, 400, seed=10)
     con = gen_gaussian([1.0], 2.0, 400, seed=11)
-    cfg = TrainConfig(batch_size=128, max_epochs=3, finetune_epochs=2,
-                      clamp_tau=6.0, objective="cf_ft", seed=12)
+    cfg = TrainConfig(batch_size=128, max_epochs=3, clamp_tau=6.0, objective="cf_ft", seed=12)
     model, history = train(flows.init_model(1, 2, 8, seed=5), inl, con, cfg)
     assert len(history.train_loss) == 3 + 2
     assert history.best_epoch < 3

@@ -200,12 +200,15 @@ def _activate(kind: str, h: Array, out: Array | None = None) -> Array:
     return np.logaddexp(0.0, h, out=out)  # softplus
 
 
-def _activate_grad(kind: str, h: Array) -> Array:
+def _scale_by_activate_grad(kind: str, a: Array, g: Array) -> None:
+    """g *= f'(h), the activation's derivative taken from its output a = f(h)."""
     if kind == "relu":
-        # a multiply casts the mask to 1.0/0.0, the bits of a float mask
-        return h > 0.0
-    # sigmoid, stable for large |h|
-    return 0.5 * (1.0 + np.tanh(0.5 * h))
+        # a = max(h, 0) > 0 exactly where h > 0, and the multiply casts the
+        # mask to 1.0/0.0, the bits of a float mask
+        g *= a > 0.0
+    else:
+        # softplus: f'(h) = sigmoid(h) = 1 - exp(-a)
+        g *= -np.expm1(-a)
 
 
 @dataclass
@@ -216,19 +219,20 @@ class MlpCache:
     prefix: str
     weights: list[Array]
     inputs: list[Array]   # activation entering each linear layer
-    pre: list[Array]      # pre-activation of each hidden layer
     out_shape: tuple[int, int]
 
 
 def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
                 out: list[Array] | None = None) -> tuple[Array, MlpCache | None]:
     """The network's output for the rows of x and the cache mlp_backward
-    needs.  With `out`, one array per layer with at least as many rows as
-    x, every layer computes in place in the first rows of its array, the
-    output is a view of the last one, and no cache is built (None)."""
+    needs.  Each hidden activation is computed in place in its layer's
+    matmul output, which the cache keeps as the next layer's input.  With
+    `out`, one array per layer with at least as many rows as x, every
+    layer computes in place in the first rows of its array, the output is
+    a view of the last one, and no cache is built (None)."""
     x = as_batch(x, spec.in_width)
     dims = spec.layer_dims()
-    cache = None if out else MlpCache(spec, prefix, [], [], [], (x.shape[0], spec.out_width))
+    cache = None if out else MlpCache(spec, prefix, [], [], (x.shape[0], spec.out_width))
     a = x
     for layer, (fan_in, fan_out) in enumerate(dims):
         w = store.params[prefix + f"w{layer}"]
@@ -242,9 +246,7 @@ def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
             cache.inputs.append(a)
         if layer == len(dims) - 1:
             return h, cache
-        if cache:
-            cache.pre.append(h)
-        a = _activate(spec.activation, h, out=None if cache else h)
+        a = _activate(spec.activation, h, out=h)
 
 
 def mlp_backward(cache: MlpCache, grad_out: Array) -> tuple[dict[str, Array], Array]:
@@ -256,12 +258,13 @@ def mlp_backward(cache: MlpCache, grad_out: Array) -> tuple[dict[str, Array], Ar
     g = grad_out
     n_layers = len(cache.weights)
     for layer in range(n_layers - 1, -1, -1):
-        if layer < n_layers - 1:
-            g = g * _activate_grad(spec.activation, cache.pre[layer])
         a = cache.inputs[layer]
         grads[prefix + f"w{layer}"] = a.T @ g
         grads[prefix + f"b{layer}"] = g.sum(axis=0)
         g = g @ cache.weights[layer].T
+        if layer > 0:
+            # a is the output of hidden layer layer - 1; g is a new array
+            _scale_by_activate_grad(spec.activation, a, g)
     return grads, g
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -305,14 +306,20 @@ def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
     return z, logdet
 
 
+def _finite(nll: Array) -> Array:
+    """nll, unless a row's is not finite: ||z||^2 overflows for finite but
+    huge z."""
+    if not np.all(np.isfinite(nll)):
+        raise NumericError("non-finite negative log-likelihood")
+    return nll
+
+
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
     x = _checked_batch(model, x)
     nll = np.empty(x.shape[0])
     _by_row_blocks(model, x, _nll_rows, nll)
-    if not np.all(np.isfinite(nll)):
-        raise NumericError("non-finite negative log-likelihood")
-    return -nll
+    return -_finite(nll)
 
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
@@ -351,21 +358,33 @@ def _backward_pass(model: FlowModel, caches: list[tuple[_Workspace, MlpCache]],
     return grads, g
 
 
-def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, dict[str, Array]]:
-    """Per-sample NLL vector and the gradient of sum_i weights_i * nll_i.
+def nll_with_backward(model: FlowModel, x) -> tuple[Array, Callable[[Array], dict[str, Array]]]:
+    """Per-sample NLL vector from one cached forward pass, and the function
+    that maps one weight per sample to the gradient of sum_i weights_i *
+    nll_i through the same cache.
 
-    The building block for every training objective: plain NLL uses
-    uniform weights 1/n, the clamped contrastive term uses negative
-    weights on the active contrastive samples only.
+    The NLL is bitwise that of log_prob whenever log_prob runs the batch
+    in one row block, and raises the same error when it is not finite.
     """
     x = _checked_batch(model, x)
     z, logdet = np.empty_like(x), np.empty(x.shape[0])
     caches = _forward_pass(model, x, z, logdet)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (z.shape[0],):
-        raise DimensionError("weights must be one scalar per sample")
-    grads, _ = _backward_pass(model, caches, weights[:, None] * z, -weights)
-    return _nll(model, z, logdet), grads
+    nll = _finite(_nll(model, z, logdet))
+
+    def backward(weights) -> dict[str, Array]:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (z.shape[0],):
+            raise DimensionError("weights must be one scalar per sample")
+        return _backward_pass(model, caches, weights[:, None] * z, -weights)[0]
+
+    return nll, backward
+
+
+def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, dict[str, Array]]:
+    """Per-sample NLL vector and the gradient of sum_i weights_i * nll_i,
+    from nll_with_backward."""
+    nll, backward = nll_with_backward(model, x)
+    return nll, backward(weights)
 
 
 _MAGIC = b"CFLW"

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .diffcore import adam_step, require_ints, require_positive_reals
 from .errors import DegenerateDataError, DimensionError, NumericError
-from .flows import FlowModel, log_prob, weighted_nll_grad
+from .flows import FlowModel, log_prob, nll_with_backward, weighted_nll_grad
 
 Array = np.ndarray
 
@@ -98,9 +98,11 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
                           tau: float) -> tuple[float, dict[str, Array]]:
     """Clamped contrastive loss and its exact gradients.
 
-    Contrastive samples with nll >= tau sit on the flat part of the clamp
-    and are skipped entirely in the backward pass, so a fully saturated
-    batch leaves the gradients bit-identical to the plain NLL objective.
+    The contrastive batch runs forward once.  Contrastive samples with
+    nll >= tau sit on the flat part of the clamp and get weight 0 in the
+    backward pass, which runs over the whole batch if any sample is below
+    the clamp and not at all otherwise, so a fully saturated batch leaves
+    the gradients bit-identical to the plain NLL objective.
     """
     pos = _as_data(pos_batch)
     neg = _as_data(neg_batch)
@@ -111,12 +113,10 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
     n = pos.shape[0]
     nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n))
     m = neg.shape[0]
-    nll_neg = -log_prob(model, neg)
+    nll_neg, neg_backward = nll_with_backward(model, neg)
     active = nll_neg < tau
     if np.any(active):
-        weights = np.where(active, -1.0 / m, 0.0)
-        _, neg_grads = weighted_nll_grad(model, neg, weights)
-        for name, g in neg_grads.items():
+        for name, g in neg_backward(np.where(active, -1.0 / m, 0.0)).items():
             grads[name] += g
     loss = float(nll_pos.mean() - np.minimum(nll_neg, tau).mean())
     if not math.isfinite(loss):

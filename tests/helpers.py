@@ -1,5 +1,6 @@
 """Reference implementations that tests compare the package against: a
-central-difference gradient and the trapezoid area under ROC points."""
+central-difference gradient, the trapezoid area under ROC points and the
+contrastive objective in two passes over its contrastive batch."""
 
 import math
 from typing import Callable
@@ -8,6 +9,7 @@ import numpy as np
 
 from cnflow.diffcore import ParamStore
 from cnflow.errors import NumericError
+from cnflow.flows import FlowModel, log_prob, weighted_nll_grad
 
 Array = np.ndarray
 
@@ -42,3 +44,19 @@ def finite_difference_grad(loss_fn: Callable[[], float], store: ParamStore,
 def roc_area(points: Array) -> float:
     """Trapezoid area under (fpr, tpr) points, as metrics.roc_curve gives them."""
     return float(np.trapezoid(points[:, 1], points[:, 0]))
+
+
+def two_pass_contrastive(model: FlowModel, pos: Array, neg: Array,
+                         tau: float) -> tuple[float, dict[str, Array]]:
+    """The clamped contrastive loss and gradients with the contrastive
+    batch run forward twice: log_prob finds the rows below the clamp, then
+    weighted_nll_grad runs every row again with weight 0 on the others."""
+    n, m = pos.shape[0], neg.shape[0]
+    nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n))
+    nll_neg = -log_prob(model, neg)
+    active = nll_neg < tau
+    if np.any(active):
+        _, neg_grads = weighted_nll_grad(model, neg, np.where(active, -1.0 / m, 0.0))
+        for name, g in neg_grads.items():
+            grads[name] += g
+    return float(nll_pos.mean() - np.minimum(nll_neg, tau).mean()), grads

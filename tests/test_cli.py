@@ -350,6 +350,10 @@ def _bad_inputs(tmp_path):
         "lr_nan": nll_train(train={"lr": float("nan")}),
         "contrastive_empty": ("train", {"data_path": str(tmp_path / "inl.csv"),
                                         "contrastive_path": str(tmp_path / "empty.csv")}, 2),
+        # a contrastive row whose NLL overflows under the initial model
+        "contrastive_nll_overflow": ("train", {"data_path": str(tmp_path / "inl.csv"),
+                                               "contrastive_path": str(tmp_path / "huge.csv"),
+                                               "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
     }
 
 
@@ -361,7 +365,8 @@ def _bad_inputs(tmp_path):
                                   "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
                                   "max_epochs_1.5", "batch_size_2.5", "patience_1.5",
                                   "seed_1.5", "val_fraction_leaves_no_rows", "lr_negative",
-                                  "lr_string", "lr_nan", "contrastive_empty"])
+                                  "lr_string", "lr_nan", "contrastive_empty",
+                                  "contrastive_nll_overflow"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
     kind, payload, code = _bad_inputs(tmp_path)[case]
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",

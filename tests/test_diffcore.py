@@ -107,6 +107,17 @@ def test_backward_wrong_shape():
         mlp_backward(cache, np.zeros((3, 1)))
 
 
+def _pre_activations(store, spec, x):
+    """Pre-activation of each hidden layer, by the forward arithmetic."""
+    pre, a = [], x
+    for layer in range(spec.n_hidden_layers):
+        h = a @ store.params[f"w{layer}"]
+        h += store.params[f"b{layer}"]
+        pre.append(h)
+        a = np.maximum(h, 0.0) if spec.activation == "relu" else np.logaddexp(0.0, h)
+    return pre
+
+
 def _relu_safe_setup(spec, h):
     # central differences are only valid away from the relu kink; pick a
     # seed whose hidden pre-activations keep a margin much larger than h
@@ -114,8 +125,7 @@ def _relu_safe_setup(spec, h):
     for seed in range(100):
         store = make_store(spec, seed=seed)
         x = rng.standard_normal((5, spec.in_width))
-        _, cache = mlp_forward(store, spec, x)
-        if min(np.abs(p).min() for p in cache.pre) > 200 * h:
+        if min(np.abs(p).min() for p in _pre_activations(store, spec, x)) > 200 * h:
             return store, x
     raise AssertionError("no kink-free configuration found")
 
@@ -142,6 +152,40 @@ def test_backward_matches_finite_differences(activation):
         denom = np.maximum(np.abs(fd[name]), 1e-8)
         rel = np.abs(grads[name] - fd[name]) / denom
         assert rel.max() < 1e-5, f"{name}: rel err {rel.max()}"
+
+
+def test_relu_mask_from_the_output_is_the_mask_from_the_pre_activation():
+    h = np.array([-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+    assert np.array_equal(np.maximum(h, 0.0) > 0.0, h > 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_hidden=st.integers(1, 3), rows=st.integers(1, 9), seed=st.integers(0, 10_000))
+def test_relu_backward_is_bitwise_the_pre_activation_mask_backward(n_hidden, rows, seed):
+    # the cache keeps each hidden activation once, as max(h, 0); backward
+    # through it must give the bits of backward through masks of h itself
+    spec = MlpSpec(3, 2, hidden_width=6, n_hidden_layers=n_hidden)
+    store = make_store(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in store.params.values():
+        p += rng.standard_normal(p.shape)
+    # integer-valued rows put some pre-activations exactly on the kink
+    x = rng.integers(-1, 2, size=(rows, 3)).astype(float)
+    store.params["b0"][...] = 0.0
+    y, cache = mlp_forward(store, spec, x)
+    grad_out = rng.standard_normal(y.shape)
+    grads, gx = mlp_backward(cache, grad_out)
+    pre = _pre_activations(store, spec, x)
+    for layer, h in enumerate(pre):
+        assert np.array_equal(cache.inputs[layer + 1] > 0.0, h > 0.0)
+    g, inputs = grad_out, [x] + [np.maximum(h, 0.0) for h in pre]
+    for layer in range(n_hidden, -1, -1):
+        assert np.array_equal(grads[f"w{layer}"], inputs[layer].T @ g)
+        assert np.array_equal(grads[f"b{layer}"], g.sum(axis=0))
+        g = g @ store.params[f"w{layer}"].T
+        if layer > 0:
+            g = g * (pre[layer - 1] > 0.0)
+    assert np.array_equal(gx, g)
 
 
 def test_finite_difference_quadratic():

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow import cli, flows
 from cnflow.datasets import gen_gaussian
-from cnflow.errors import DegenerateDataError
+from cnflow.errors import DegenerateDataError, NumericError
 from cnflow.training import (TrainConfig, contrastive_objective, nll_objective,
                              proxy_auroc, select_epsilon, train)
-from helpers import finite_difference_grad
+from helpers import finite_difference_grad, two_pass_contrastive
 
 
 def small_model(dim=1, seed=0, activation="relu", hidden=8, n_blocks=2):
@@ -106,6 +108,69 @@ def test_contrastive_requires_matching_dims():
     model = small_model(dim=2, seed=11)
     with pytest.raises(Exception):
         contrastive_objective(model, np.zeros((2, 2)), np.zeros((2, 3)), 0.0)
+
+
+def _tau_leaving(active, model, neg):
+    """A clamp threshold that leaves none, some or all rows of neg active."""
+    nll_neg = -flows.log_prob(model, neg)
+    return {"none": nll_neg.min() - 1.0, "some": float(np.median(nll_neg)),
+            "all": nll_neg.max() + 1.0}[active]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 6), hidden=st.sampled_from([1, 3, 8, 17]),
+       n_blocks=st.integers(1, 3), n_pos=st.integers(1, 300), n_neg=st.integers(1, 2047),
+       active=st.sampled_from(["none", "some", "all"]), seed=st.integers(0, 10_000))
+def test_contrastive_matches_two_pass_reference(dim, hidden, n_blocks, n_pos, n_neg,
+                                                active, seed):
+    # below 2048 rows log_prob runs the batch in one row block, so the one
+    # forward pass gives the bits of the two-pass reference
+    model = small_model(dim=dim, seed=seed, hidden=hidden, n_blocks=n_blocks)
+    perturb(model, seed=seed)
+    rng = np.random.default_rng(seed)
+    pos = rng.standard_normal((n_pos, dim))
+    neg = 2.0 * rng.standard_normal((n_neg, dim))
+    tau = _tau_leaving(active, model, neg)
+    loss, grads = contrastive_objective(model, pos, neg, tau)
+    want_loss, want_grads = two_pass_contrastive(model, pos, neg, tau)
+    assert np.array_equal(loss, want_loss)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], want_grads[name]), name
+    if active == "none":
+        # criterion 2: a saturated batch gives the plain NLL gradients
+        loss_n, grads_n = nll_objective(model, pos)
+        assert loss == pytest.approx(loss_n - tau, rel=1e-12, abs=1e-12)
+        for name in grads_n:
+            assert np.array_equal(grads[name], grads_n[name]), name
+
+
+@pytest.mark.parametrize("active", ["none", "some", "all"])
+def test_contrastive_runs_each_batch_forward_once(monkeypatch, active):
+    model = small_model(dim=3, seed=2, n_blocks=3)
+    perturb(model, seed=4)
+    rng = np.random.default_rng(5)
+    pos, neg = rng.standard_normal((7, 3)), 2.0 * rng.standard_normal((11, 3))
+    tau = _tau_leaving(active, model, neg)
+    rows = []
+    forward = flows.mlp_forward
+
+    def counting(store, spec, x, *args, **kwargs):
+        rows.append(np.shape(x)[0])
+        return forward(store, spec, x, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "mlp_forward", counting)
+    contrastive_objective(model, pos, neg, tau)
+    assert sum(rows) == model.n_blocks * (7 + 11)
+
+
+def test_contrastive_overflowing_negative_row_raises():
+    # z = x under the initial model, finite, but z * z overflows; the clamp
+    # must not hide the infinite NLL as tau
+    model = flows.init_model(2, 2, 5)
+    pos = np.random.default_rng(0).standard_normal((4, 2))
+    with pytest.raises(NumericError, match="non-finite negative log-likelihood"):
+        contrastive_objective(model, pos, np.array([[1e308, 1e308]]), 0.0)
 
 
 def test_train_zero_epochs_returns_input_model():

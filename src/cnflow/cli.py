@@ -355,10 +355,12 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
         raise ConfigError(f"unknown mu-sweep variant {variant!r}")
     methods = cfg["methods"]
     check_methods(methods)
+    reps = cfg["reps"]
+    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        raise ConfigError(f"reps must be a positive integer, got {reps!r}")
     bench = _load_bench(cfg)
     fc = _flow_config(cfg)
     base_tc = _train_config(cfg, objective="contrastive")
-    reps = int(cfg["reps"])
     root = int(cfg["seed"])
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
 

@@ -38,13 +38,14 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (MlpCache, MlpSpec, ParamStore, as_batch, blas_threads,
+from .diffcore import (FlatViews, MlpCache, MlpSpec, ParamStore, as_batch, blas_threads,
                        init_mlp_params, mlp_backward, mlp_forward, require_ints,
                        require_positive_reals, single_blas_thread)
 from .errors import DimensionError, FormatError, NumericError
@@ -116,15 +117,17 @@ def _subnet_spec(dim: int, cfg: FlowConfig) -> MlpSpec:
                    cfg.activation)
 
 
-def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, block_arrays) -> FlowModel:
-    """The model whose block i has the permutation and subnet parameters
-    of the i-th (perm, params) pair of `block_arrays`."""
-    store = ParamStore()
+def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, fill) -> FlowModel:
+    """The model whose block i has the permutation that fill(i, views)
+    returns once it has written the block's subnet parameters into
+    `views`, a name -> array dict of their places in the model's store."""
+    shapes = subnet.param_shapes()
+    store = ParamStore({f"blk{i}.{name}": shape
+                        for i in range(cfg.n_blocks) for name, shape in shapes.items()})
     blocks = []
-    for i, (perm, params) in enumerate(block_arrays):
+    for i in range(cfg.n_blocks):
         prefix = f"blk{i}."
-        for name, value in params.items():
-            store.register(prefix + name, value)
+        perm = fill(i, {name: store.params[prefix + name] for name in shapes})
         blocks.append(CouplingBlock(i, perm, subnet.in_width, dim - subnet.in_width,
                                     subnet, prefix))
     return FlowModel(dim, blocks, store, cfg)
@@ -135,9 +138,14 @@ def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
     are zero-initialized so the initial map is the permutations only."""
     subnet = _subnet_spec(dim, cfg)
     rng = np.random.default_rng(seed)
-    draws = ((rng.permutation(dim).astype(np.int64), init_mlp_params(subnet, rng, zero_last=True))
-             for _ in range(cfg.n_blocks))
-    return _assemble(dim, cfg, subnet, draws)
+
+    def fill(i: int, views: dict[str, Array]) -> Array:
+        perm = rng.permutation(dim).astype(np.int64)
+        for name, value in init_mlp_params(subnet, rng, zero_last=True).items():
+            views[name][...] = value
+        return perm
+
+    return _assemble(dim, cfg, subnet, fill)
 
 
 class _Workspace:
@@ -340,28 +348,27 @@ def sample(model: FlowModel, n: int, seed: int) -> Array:
 
 
 def _backward_pass(model: FlowModel, caches: list[tuple[_Workspace, MlpCache]],
-                   dz: Array, dld: Array) -> tuple[dict[str, Array], Array]:
-    """Gradients of sum_i [dz_i . z_i-path + dld_i * logdet_i] w.r.t. all
-    parameters and the input batch."""
+                   dz: Array, dld: Array, grads: FlatViews, add: bool) -> None:
+    """Write (or with `add`, add) to grads the gradients of
+    sum_i [dz_i . z_i-path + dld_i * logdet_i] w.r.t. all parameters."""
     g = dz
-    grads: dict[str, Array] = {}
     for block, (w, mlp_cache) in zip(reversed(model.blocks), reversed(caches)):
         g_out = g[:, block.d_cond:]
         d_s = g_out * w.trans * w.exp_s + dld[:, None]
         d_raw = np.concatenate([d_s * (1.0 - w.th ** 2), g_out], axis=1)
-        sub_grads, g_cond_sub = mlp_backward(mlp_cache, d_raw)
-        grads.update(sub_grads)
+        _, g_cond_sub = mlp_backward(mlp_cache, d_raw, grads, add)
         g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * w.exp_s], axis=1)
         g_prev = np.empty_like(g_u)
         g_prev[:, block.perm] = g_u
         g = g_prev
-    return grads, g
 
 
-def nll_with_backward(model: FlowModel, x) -> tuple[Array, Callable[[Array], dict[str, Array]]]:
+def nll_with_backward(model: FlowModel, x) -> tuple[Array, Callable[..., FlatViews]]:
     """Per-sample NLL vector from one cached forward pass, and the function
-    that maps one weight per sample to the gradient of sum_i weights_i *
-    nll_i through the same cache.
+    backward(weights, into=None) that maps one weight per sample to the
+    gradient of sum_i weights_i * nll_i through the same cache: a new
+    gradient laid out like the model's parameters, or, given `into`, the
+    gradient `into` with this one added to it in place.
 
     The NLL is bitwise that of log_prob whenever log_prob runs the batch
     in one row block, and raises the same error when it is not finite.
@@ -371,16 +378,18 @@ def nll_with_backward(model: FlowModel, x) -> tuple[Array, Callable[[Array], dic
     caches = _forward_pass(model, x, z, logdet)
     nll = _finite(_nll(model, z, logdet))
 
-    def backward(weights) -> dict[str, Array]:
+    def backward(weights, into: FlatViews | None = None) -> FlatViews:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (z.shape[0],):
             raise DimensionError("weights must be one scalar per sample")
-        return _backward_pass(model, caches, weights[:, None] * z, -weights)[0]
+        grads = model.store.new_grad() if into is None else into
+        _backward_pass(model, caches, weights[:, None] * z, -weights, grads, into is not None)
+        return grads
 
     return nll, backward
 
 
-def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, dict[str, Array]]:
+def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, FlatViews]:
     """Per-sample NLL vector and the gradient of sum_i weights_i * nll_i,
     from nll_with_backward."""
     nll, backward = nll_with_backward(model, x)
@@ -431,17 +440,16 @@ def load_model(path) -> FlowModel:
         if size != expected:
             raise FormatError(f"model file is {size} bytes, its header implies {expected}")
 
-        def read(shape, dtype: str) -> Array:
-            out = np.empty(shape, dtype=dtype)
-            fh.readinto(out)
-            return out
+        def fill(i: int, views: dict[str, Array]) -> Array:
+            perm = np.empty(dim, dtype="<u4")
+            fh.readinto(perm)
+            if sorted(perm.tolist()) != list(range(dim)):
+                raise FormatError(f"block {i} permutation is not a bijection")
+            # the parameters are read straight into their places in the store
+            for view in views.values():
+                fh.readinto(view)
+                if sys.byteorder == "big":
+                    view.byteswap(inplace=True)
+            return perm.astype(np.int64)
 
-        def block_arrays():
-            for i in range(n_blocks):
-                perm = read(dim, "<u4").astype(np.int64)
-                if sorted(perm.tolist()) != list(range(dim)):
-                    raise FormatError(f"block {i} permutation is not a bijection")
-                yield perm, {name: read(shape, "<f8").astype(np.float64, copy=False)
-                             for name, shape in shapes.items()}
-
-        return _assemble(dim, cfg, subnet, block_arrays())
+        return _assemble(dim, cfg, subnet, fill)

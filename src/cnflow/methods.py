@@ -25,7 +25,10 @@ FLOW_OBJECTIVES = {"nll_flow": "nll", "cf": "contrastive", "cf_ft": "cf_ft"}
 
 
 def check_methods(names) -> None:
-    """Raise ConfigError for the first name that is not in METHODS."""
+    """Raise ConfigError unless names is a list, naming the first of its
+    entries that is not in METHODS."""
+    if not isinstance(names, list):
+        raise ConfigError(f"methods must be a list of method names, got {names!r}")
     for name in names:
         if name not in METHODS:
             raise ConfigError(f"unknown method {name!r}; pick from {METHODS}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import adam_step, require_ints, require_positive_reals
+from .diffcore import FlatViews, adam_step, require_ints, require_positive_reals
 from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import FlowModel, log_prob, nll_with_backward, weighted_nll_grad
 
@@ -81,7 +81,7 @@ def _as_data(x) -> Array:
     return np.ascontiguousarray(getattr(x, "data", x), dtype=np.float64)
 
 
-def nll_objective(model: FlowModel, batch) -> tuple[float, dict[str, Array]]:
+def nll_objective(model: FlowModel, batch) -> tuple[float, FlatViews]:
     """Mean NLL and its exact gradients."""
     batch = _as_data(batch)
     if batch.shape[0] == 0:
@@ -95,7 +95,7 @@ def nll_objective(model: FlowModel, batch) -> tuple[float, dict[str, Array]]:
 
 
 def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
-                          tau: float) -> tuple[float, dict[str, Array]]:
+                          tau: float) -> tuple[float, FlatViews]:
     """Clamped contrastive loss and its exact gradients.
 
     The contrastive batch runs forward once.  Contrastive samples with
@@ -116,8 +116,9 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
     nll_neg, neg_backward = nll_with_backward(model, neg)
     active = nll_neg < tau
     if np.any(active):
-        for name, g in neg_backward(np.where(active, -1.0 / m, 0.0)).items():
-            grads[name] += g
+        # added layer by layer into the inlier gradient: the sum is
+        # elementwise pos + neg either way, so no bit changes
+        neg_backward(np.where(active, -1.0 / m, 0.0), into=grads)
     loss = float(nll_pos.mean() - np.minimum(nll_neg, tau).mean())
     if not math.isfinite(loss):
         raise NumericError("contrastive loss is non-finite")
@@ -179,6 +180,8 @@ def _train_phase(model: FlowModel, train_in: Array, train_c: Array | None,
             else:
                 loss, grads = nll_objective(model, xb)
             adam_step(model.store, grads, cfg.lr)
+            # freed now, not when the next step's gradient replaces it
+            del grads
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
         metric = None

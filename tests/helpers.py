@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the package against: a
-central-difference gradient, the trapezoid area under ROC points and the
-contrastive objective in two passes over its contrastive batch."""
+central-difference gradient, the trapezoid area under ROC points, the
+contrastive objective in two passes over its contrastive batch and the
+Adam step one parameter at a time; and a ParamStore built from arrays."""
 
 import math
 from typing import Callable
@@ -12,6 +13,14 @@ from cnflow.errors import NumericError
 from cnflow.flows import FlowModel, log_prob, weighted_nll_grad
 
 Array = np.ndarray
+
+
+def store_of(arrays: dict[str, Array]) -> ParamStore:
+    """A ParamStore holding copies of the named arrays."""
+    store = ParamStore({name: np.shape(value) for name, value in arrays.items()})
+    for name, value in arrays.items():
+        store.params[name][...] = value
+    return store
 
 
 def finite_difference_grad(loss_fn: Callable[[], float], store: ParamStore,
@@ -60,3 +69,39 @@ def two_pass_contrastive(model: FlowModel, pos: Array, neg: Array,
         for name, g in neg_grads.items():
             grads[name] += g
     return float(nll_pos.mean() - np.minimum(nll_neg, tau).mean()), grads
+
+
+def per_name_adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
+                       beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """The Adam step of diffcore.adam_step run one parameter at a time,
+    each through the whole operation chain, with scratch arrays sized to
+    the largest parameter."""
+    for name in store.params:
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericError(f"non-finite gradient for {name!r}; parameters unchanged")
+    t = store.step + 1
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    size = max((p.size for p in store.params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for name, p in store.params.items():
+        g = grads[name]
+        m = store.m[name]
+        v = store.v[name]
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
+        m *= beta1
+        np.multiply(1.0 - beta1, g, out=a)
+        m += a
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        np.divide(m, c1, out=a)
+        np.multiply(lr, a, out=a)
+        a /= b
+        p -= a
+    store.step = t

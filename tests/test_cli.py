@@ -485,6 +485,24 @@ def test_unknown_method_exits_2_before_any_fit(tmp_path, monkeypatch, kind):
     assert run_cli([kind, "--method", "cf,bogus", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("payload, expected", [({"reps": 0}, "positive integer"),
+                                               ({"methods": "cf"}, "must be a list")])
+def test_mu_sweep_bad_reps_or_method_list_exits_2_in_one_line(tmp_path, capsys, monkeypatch,
+                                                               payload, expected):
+    # reps 0 once ended in an IndexError traceback, and a string of
+    # methods was iterated by character ("unknown method 'c'")
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was trained before the config was checked")
+
+    monkeypatch.setattr(methods, "train", no_fit)
+    rc = run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, payload, name="bad.json"))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [["toy2d", "--reps", "2"], ["toy1d", "--reps", "2"],
                                   ["toy1d", "--method", "cf"], ["score", "--seed", "1"]])
 def test_flag_a_subcommand_does_not_take_exit_code_2(tmp_path, argv):

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnflow import diffcore
 from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch, init_mlp_params,
                              mlp_backward, mlp_forward)
 from cnflow.errors import DimensionError, NumericError
-from helpers import finite_difference_grad
+from helpers import finite_difference_grad, per_name_adam_step, store_of
 
 
 def make_store(spec, seed=0, zero_last=False, prefix=""):
-    store = ParamStore()
-    for name, value in init_mlp_params(spec, np.random.default_rng(seed), zero_last).items():
-        store.register(prefix + name, value)
-    return store
+    params = init_mlp_params(spec, np.random.default_rng(seed), zero_last)
+    return store_of({prefix + name: value for name, value in params.items()})
 
 
 def test_zero_weight_network_outputs_zero():
@@ -189,22 +188,19 @@ def test_relu_backward_is_bitwise_the_pre_activation_mask_backward(n_hidden, row
 
 
 def test_finite_difference_quadratic():
-    store = ParamStore()
-    store.register("theta", np.array([3.0]))
+    store = store_of({"theta": np.array([3.0])})
     fd = finite_difference_grad(lambda: float(store.params["theta"][0] ** 2), store, h=1e-4)
     assert fd["theta"][0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_finite_difference_constant():
-    store = ParamStore()
-    store.register("theta", np.arange(4.0))
+    store = store_of({"theta": np.arange(4.0)})
     fd = finite_difference_grad(lambda: 7.5, store, h=1e-4)
     assert np.array_equal(fd["theta"], np.zeros(4))
 
 
 def test_adam_first_step_magnitude():
-    store = ParamStore()
-    store.register("p", np.array([1.0]))
+    store = store_of({"p": np.array([1.0])})
     adam_step(store, {"p": np.ones(1)}, lr=1e-3)
     # bias-corrected first step is lr * g / (|g| + eps)
     assert store.params["p"][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
@@ -212,18 +208,15 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_zero_grad_fixed_point():
-    store = ParamStore()
-    store.register("p", np.array([0.7, -0.3]))
+    store = store_of({"p": np.array([0.7, -0.3])})
     before = store.params["p"].copy()
     adam_step(store, {"p": np.zeros(2)}, lr=1e-3)
     assert np.max(np.abs(store.params["p"] - before)) < 1e-3 * 1e-6
 
 
 def test_adam_nan_grad_leaves_params_unchanged():
-    store = ParamStore()
-    store.register("p", np.array([1.0]))
-    store.register("q", np.array([2.0]))
-    with pytest.raises(NumericError):
+    store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
+    with pytest.raises(NumericError, match="gradient for 'q'; parameters unchanged"):
         adam_step(store, {"p": np.ones(1), "q": np.array([np.nan])}, lr=1e-3)
     assert store.params["p"][0] == 1.0
     assert store.params["q"][0] == 2.0
@@ -239,9 +232,8 @@ def test_adam_matches_scalar_resimulation(shapes, steps, lr, seed):
     # and the caller's gradient arrays are only read
     rng = np.random.default_rng(seed)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    store = ParamStore()
-    for k, shape in enumerate(shapes):
-        store.register(f"p{k}", rng.uniform(-2.0, 2.0, size=shape))
+    store = store_of({f"p{k}": rng.uniform(-2.0, 2.0, size=shape)
+                      for k, shape in enumerate(shapes)})
     # per coordinate: [theta, m, v]
     ref = {name: [[float(x), 0.0, 0.0] for x in p.ravel()] for name, p in store.params.items()}
     for t in range(1, steps + 1):
@@ -260,6 +252,72 @@ def test_adam_matches_scalar_resimulation(shapes, steps, lr, seed):
                 coord[:] = [theta, m, v]
             np.testing.assert_allclose(store.params[name].ravel(), [c[0] for c in coords],
                                        rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4),
+       big=st.booleans(), flat_grads=st.booleans(), steps=st.integers(1, 3),
+       lr=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, flat_grads, steps, lr, seed):
+    # the flat, chunked step against the per-name oracle on two stores of
+    # the same parameters: empty stores, zero-size parameters and (with
+    # big) a store that spans more than one chunk; the gradient is either
+    # a FlatViews of the store's layout or a plain dict, which is gathered
+    rng = np.random.default_rng(seed)
+    named = {f"p{k}": tuple(shape) for k, shape in enumerate(shapes)}
+    if big:
+        named["big"] = (diffcore._ADAM_CHUNK + 17,)
+    init = {name: rng.uniform(-2.0, 2.0, size=shape) for name, shape in named.items()}
+    store, oracle = store_of(init), store_of(init)
+    assert store.n_params() == sum(p.size for p in init.values())
+    for t in range(1, steps + 1):
+        grads = {name: rng.standard_normal(shape) for name, shape in named.items()}
+        if flat_grads:
+            flat = store.new_grad()
+            for name, g in grads.items():
+                flat[name][...] = g
+            grads = flat
+        adam_step(store, grads, lr=lr)
+        per_name_adam_step(oracle, grads, lr=lr)
+        assert store.step == oracle.step == t
+        for kind in ("params", "m", "v"):
+            assert getattr(store, kind).flat.tobytes() == getattr(oracle, kind).flat.tobytes()
+
+
+def test_adam_on_an_empty_store_only_counts_the_step():
+    store = ParamStore({})
+    adam_step(store, store.new_grad(), lr=1e-3)
+    adam_step(store, {}, lr=1e-3)
+    assert store.step == 2 and store.n_params() == 0
+
+
+def test_store_views_share_one_flat_array_per_kind():
+    store = store_of({"w": np.arange(6.0).reshape(2, 3), "e": np.empty((0, 2)), "b": [7.0]})
+    assert np.array_equal(store.params.flat, [0, 1, 2, 3, 4, 5, 7])
+    store.params["b"][...] = 9.0
+    assert store.params.flat[-1] == 9.0
+    for kind in (store.m, store.v, store.new_grad()):
+        assert list(kind) == ["w", "e", "b"]
+        assert all(np.shares_memory(view, kind.flat) for view in kind.values() if view.size)
+    snapshot = store.copy_params()
+    store.params["w"][...] = -1.0
+    store.load_params(snapshot)
+    assert np.array_equal(store.params["w"], np.arange(6.0).reshape(2, 3))
+
+
+def test_mlp_backward_adds_into_a_given_gradient():
+    spec = MlpSpec(3, 2, hidden_width=5, n_hidden_layers=2)
+    store = make_store(spec, seed=4)
+    rng = np.random.default_rng(5)
+    _, cache = mlp_forward(store, spec, rng.standard_normal((6, 3)))
+    g1, g2 = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    first, _ = mlp_backward(cache, g1)
+    second, _ = mlp_backward(cache, g2)
+    total = store.new_grad()
+    assert mlp_backward(cache, g1, total)[0] is total
+    mlp_backward(cache, g2, total, add=True)
+    for name in store.params:
+        assert np.array_equal(total[name], first[name] + second[name])
 
 
 def test_deterministic_init():

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datasets, flows, metrics, oracle, training
-from .errors import (ConfigError, DegenerateDataError, DimensionError, FormatError,
-                     GridError, NumericError)
+from .errors import ConfigError, FormatError, NumericError
 from .flows import FlowConfig
 from .methods import check_methods, fit_method, one_vs_rest
 from .training import TrainConfig
@@ -144,46 +143,62 @@ DEFAULTS["informed"] = dict(copy.deepcopy(DEFAULTS["mu-sweep"]), variant="inform
                             mu_grid=[0.5, 1.0], methods=["cf"])
 
 
-def _merge(base: dict, override: dict) -> dict:
+_KINDS = {dict: "object", int: "count", float: "number", str: "string"}
+
+
+def _fits(default, value) -> bool:
+    """Whether value has the kind of the default it replaces (README, Config
+    schema); a count is an integer >= 0, and every null default is a path."""
+    if default is None:
+        return value is None or isinstance(value, str) or _fits([""], value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, type(default))
+
+
+def _kind(default, plural: str = "") -> str:
+    if default is None:
+        return "a string or a list of strings"
+    if isinstance(default, list):
+        return "a list of " + _kind(default[0], "s")
+    noun = _KINDS[type(default)]
+    return noun + plural if plural else ("an " if noun == "object" else "a ") + noun
+
+
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """base with override's values, each of the kind of the value it replaces."""
     out = copy.deepcopy(base)
     for key, value in override.items():
+        name = prefix + key
         if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+            raise ConfigError(f"unknown config key {name!r}")
+        if not _fits(out[key], value):
+            raise ConfigError(f"{name} must be {_kind(out[key])}, got {value!r}")
+        out[key] = _merge(out[key], value, name + ".") if isinstance(value, dict) else value
     return out
 
 
 def load_config(kind: str, path: str | None, overrides: dict) -> dict:
     if kind not in DEFAULTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    cfg = copy.deepcopy(DEFAULTS[kind])
+    user = {}
     if path is not None:
         with open(path) as fh:
             try:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
-        cfg = _merge(cfg, user)
-    return _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
+    if not isinstance(user, dict):
+        raise ConfigError(f"config must be a JSON object, got {user!r}")
+    return _merge(DEFAULTS[kind], {**user, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _train_config(cfg: dict, **extra) -> TrainConfig:
-    merged = dict(cfg.get("train", {}))
-    merged.update(extra)
-    try:
-        return TrainConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
-
-
-def _flow_config(cfg: dict) -> FlowConfig:
-    try:
-        return FlowConfig(**cfg.get("model", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
+    return TrainConfig(**{**cfg["train"], **extra})
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -234,7 +249,7 @@ def _train_toy1d(cfg: dict, epsilon: float, seed: int):
                                 cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive"]["mean"], cfg["contrastive"]["sd"],
                                 cfg["n_contrastive"], seed=seed + 22)
-    model = flows.build_model(1, _flow_config(cfg), seed)
+    model = flows.build_model(1, FlowConfig(**cfg["model"]), seed)
     tc = _train_config(cfg, clamp_tau=-epsilon, seed=seed, objective="contrastive")
     model, history = training.train(model, inl, con, tc)
     return model, history
@@ -285,7 +300,7 @@ def run_toy2d(cfg: dict) -> dict:
     seed = cfg["seed"]
     inl = datasets.gen_gaussian(cfg["inlier_mean"], 1.0, cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive_mean"], 1.0, cfg["n_contrastive"], seed=seed + 22)
-    fc = _flow_config(cfg)
+    fc = FlowConfig(**cfg["model"])
 
     cf = flows.build_model(2, fc, seed)
     training.train(cf, inl, con, _train_config(cfg, clamp_tau=-cfg["epsilon"],
@@ -356,12 +371,11 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
     methods = cfg["methods"]
     check_methods(methods)
     reps = cfg["reps"]
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+    if reps < 1:
         raise ConfigError(f"reps must be a positive integer, got {reps!r}")
     bench = _load_bench(cfg)
-    fc = _flow_config(cfg)
+    fc = FlowConfig(**cfg["model"])
     base_tc = _train_config(cfg, objective="contrastive")
-    root = int(cfg["seed"])
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
 
     rows = []
@@ -370,7 +384,7 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
     for mu in cfg["mu_grid"]:
         per_method: dict[str, list[tuple[float, float]]] = {m: [] for m in methods}
         for rep in range(reps):
-            rep_seed = root + rep
+            rep_seed = cfg["seed"] + rep
             contr = datasets.mix_datasets(datasets.MixSpec(
                 bench.broad_pool, contaminant, mu, cfg["contrastive_total"],
                 seed=rep_seed + 7000))
@@ -423,12 +437,12 @@ def _tabular_data(cfg: dict, seed: int):
 def run_tabular(cfg: dict) -> dict:
     out = _out_dir(cfg)
     check_methods(cfg["methods"])
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     inliers, outliers = _tabular_data(cfg, seed)
     train_in, test_in = datasets.split(inliers, (1.0 - cfg["test_fraction"],
                                                  cfg["test_fraction"]), seed)
     contrastive = datasets.permute_marginals(train_in, seed + 33)
-    fc = _flow_config(cfg)
+    fc = FlowConfig(**cfg["model"])
     tc = _train_config(cfg, objective="contrastive")
     report = {}
     for m in cfg["methods"]:
@@ -457,7 +471,7 @@ def run_train(cfg: dict) -> dict:
             raise ConfigError(f"contrastive dim {contr.dim} != data dim {inl.dim}")
     objective = cfg["objective"]
     tc = _train_config(cfg, seed=cfg["seed"], objective=objective)
-    model = flows.build_model(inl.dim, _flow_config(cfg), cfg["seed"])
+    model = flows.build_model(inl.dim, FlowConfig(**cfg["model"]), cfg["seed"])
     model, history = training.train(model, inl, contr, tc)
     flows.save_model(model, out / cfg["model_out"])
     _write_json(out / cfg["history_out"], history.to_json_dict())
@@ -522,7 +536,7 @@ def run_eval(cfg: dict) -> dict:
 def run_report(cfg: dict) -> dict:
     out = _out_dir(cfg)
     check_methods(cfg["methods"])
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     if cfg["class_paths"]:
         class_sets = [datasets.load_features(p) for p in cfg["class_paths"]]
         names = [Path(p).stem for p in cfg["class_paths"]]
@@ -540,7 +554,7 @@ def run_report(cfg: dict) -> dict:
         ]
         names = [f"class{i}" for i in range(k)]
         contrastive = datasets.gen_gaussian(np.zeros(d), s["broad_sd"], s["n_broad"], seed + 40)
-    fc = _flow_config(cfg)
+    fc = FlowConfig(**cfg["model"])
     tc = _train_config(cfg, objective="contrastive")
     summary = {}
     per_method_means = {}
@@ -612,17 +626,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionError, DegenerateDataError, GridError) as exc:
+    except (OSError, FormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # errors.py's input errors and the range checks of the library
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (OSError, FormatError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    print(json.dumps(result) if not isinstance(result, (dict, list)) else
-          json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2))
     return 0
 
 

@@ -4,8 +4,8 @@ Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache (or a forward pass in place in
 caller-given arrays, with no cache), an in-place Adam step over a
-ParamStore that reads a gradient dict, and the thread count of the BLAS
-that runs the matmuls.
+ParamStore that reads a gradient laid out like its parameters, and the
+thread count of the BLAS that runs the matmuls.
 
 A ParamStore keeps its parameters, its two Adam moments and each gradient
 as views of one flat float64 array per kind (a FlatViews dict), all laid
@@ -320,33 +320,22 @@ def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = Non
 # in chunks of 4096, 31.0 ms of 16384 and 29.5 ms of 65536 (best of 8,
 # 2-core x86-64)
 _ADAM_CHUNK = 65536
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
 
 
-def _flat_grad(store: ParamStore, grads: Mapping[str, Array]) -> Array:
-    """The gradient as one flat array laid out like the parameters: its
-    own if it is a FlatViews of that layout, else a gathered copy."""
-    if isinstance(grads, FlatViews) and ([(k, g.shape) for k, g in grads.items()]
-                                         == [(k, p.shape) for k, p in store.params.items()]):
-        return grads.flat
-    flat = store.new_grad()
-    for name, view in flat.items():
-        view[...] = grads[name]
-    return flat.flat
-
-
-def adam_step(store: ParamStore, grads: Mapping[str, Array], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place Adam update with bias correction from `grads`, which maps
-    every parameter name to its gradient; `grads` is only read."""
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("betas must lie in [0, 1)")
-    flat_g = _flat_grad(store, grads)
+def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
+    """In-place Adam update with bias correction from `grads`, a gradient
+    laid out like the parameters (as `store.new_grad()` makes one); `grads`
+    is only read."""
+    if not isinstance(grads, FlatViews) or grads.flat.size != store.n_params():
+        raise DimensionError("the gradient must be a FlatViews of the store's size")
+    flat_g = grads.flat
     if not np.all(np.isfinite(flat_g)):
-        bad = next(name for name in store.params if not np.all(np.isfinite(grads[name])))
+        bad = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
         raise NumericError(f"non-finite gradient for {bad!r}; parameters unchanged")
     t = store.step + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     n = flat_g.size
     # the operations and their order are those of
     #   m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g g,
@@ -358,16 +347,16 @@ def adam_step(store: ParamStore, grads: Mapping[str, Array], lr: float,
         p, m, v = store.params.flat[lo:hi], store.m.flat[lo:hi], store.v.flat[lo:hi]
         g = flat_g[lo:hi]
         a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=a)
+        m *= _BETA1
+        np.multiply(1.0 - _BETA1, g, out=a)
         m += a
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=a)
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=a)
         a *= g
         v += a
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += _EPS
         np.divide(m, c1, out=a)
         np.multiply(lr, a, out=a)
         a /= b

@@ -25,10 +25,7 @@ FLOW_OBJECTIVES = {"nll_flow": "nll", "cf": "contrastive", "cf_ft": "cf_ft"}
 
 
 def check_methods(names) -> None:
-    """Raise ConfigError unless names is a list, naming the first of its
-    entries that is not in METHODS."""
-    if not isinstance(names, list):
-        raise ConfigError(f"methods must be a list of method names, got {names!r}")
+    """Raise ConfigError naming the first of names that is not in METHODS."""
     for name in names:
         if name not in METHODS:
             raise ConfigError(f"unknown method {name!r}; pick from {METHODS}")

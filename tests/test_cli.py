@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnflow import cli, datasets, flows, methods, metrics
+from cnflow import cli, datasets, flows, methods, metrics, training
 from cnflow.datasets import gen_gaussian, save_features
 from cnflow.flows import FlowConfig
 from cnflow.training import TrainConfig
@@ -290,8 +290,8 @@ def test_eval_wilcoxon_between_paired_files(tmp_path):
     assert report["wilcoxon_p"] == pytest.approx(1.0 / 1024.0, abs=0)
 
 
-def _bad_inputs(tmp_path):
-    """(argv, exit code) for inputs that once escaped as tracebacks."""
+def _write_bad_input_files(tmp_path):
+    """The files that BAD_INPUTS names, written into tmp_path."""
     model = flows.init_model(2, n_blocks=1, hidden_width=4, seed=0)
     flows.save_model(model, tmp_path / "m.cflw")
     (tmp_path / "abc.csv").write_text("score\n1.0\nabc\n")
@@ -312,68 +312,123 @@ def _bad_inputs(tmp_path):
                                ("dim_huge", 2, 2 ** 32 - 1), ("hidden_huge", 4, 2 ** 32 - 1)):
         _with_header_field(tmp_path / "m.cflw", tmp_path / f"{name}.cflw", index, value)
 
-    def score(data, model="m.cflw"):
-        return {"model_path": str(tmp_path / model), "data_path": str(tmp_path / data)}
 
-    def nll_train(**payload):
-        return ("train", {"data_path": str(tmp_path / "inl.csv"), "objective": "nll", **payload}, 2)
+def _score(data, model="m.cflw"):
+    return {"model_path": model, "data_path": data}
 
-    return {
-        "eval_abc_cell": ("eval", {"inlier_scores": str(tmp_path / "abc.csv"),
-                                   "outlier_scores": str(tmp_path / "ok.csv")}, 3),
-        "label_x": ("score", score("label_x.csv"), 3),
-        "label_300": ("score", score("label_300.csv"), 3),
-        "label_byte_200": ("score", score("byte.cftr"), 3),
-        "nan_feature": ("score", score("nan.csv"), 2),
-        # finite z under the identity init model, whose squared norm overflows
-        "nll_overflow": ("score", score("huge.csv"), 1),
-        "zero_blocks": ("train", {"data_path": str(tmp_path / "inl.csv"),
-                                  "model": {"n_blocks": 0}}, 2),
-        "clamp_alpha_0": ("train", {"data_path": str(tmp_path / "inl.csv"),
-                                    "model": {"clamp_alpha": 0}}, 2),
-        "cftr_rows_2e62": ("train", {"data_path": str(tmp_path / "rows_2e62.cftr")}, 3),
-        "cftr_trailing_bytes": ("score", score("trailing.cftr"), 3),
-        "cflw_alpha_0": ("score", score("inl.csv", "alpha0.cflw"), 3),
-        "cflw_zero_blocks": ("score", score("inl.csv", "blocks0.cflw"), 3),
-        "cflw_dim_huge": ("score", score("inl.csv", "dim_huge.cflw"), 3),
-        "cflw_hidden_huge": ("score", score("inl.csv", "hidden_huge.cflw"), 3),
-        "n_blocks_2.5": nll_train(model={"n_blocks": 2.5}),
-        "n_blocks_true": nll_train(model={"n_blocks": True}),
-        "hidden_width_2.5": nll_train(model={"hidden_width": 2.5}),
-        "max_epochs_1.5": nll_train(train={"max_epochs": 1.5}),
-        "batch_size_2.5": nll_train(train={"batch_size": 2.5}),
-        "patience_1.5": nll_train(train={"patience": 1.5}),
-        "seed_1.5": nll_train(seed=1.5),
-        "val_fraction_leaves_no_rows": nll_train(train={"val_fraction": 0.999}),
-        "lr_negative": nll_train(train={"lr": -1.0}),
-        "lr_string": nll_train(train={"lr": "x"}),
-        "lr_nan": nll_train(train={"lr": float("nan")}),
-        "contrastive_empty": ("train", {"data_path": str(tmp_path / "inl.csv"),
-                                        "contrastive_path": str(tmp_path / "empty.csv")}, 2),
-        # a contrastive row whose NLL overflows under the initial model
-        "contrastive_nll_overflow": ("train", {"data_path": str(tmp_path / "inl.csv"),
-                                               "contrastive_path": str(tmp_path / "huge.csv"),
-                                               "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
-    }
+
+def _nll_train(**payload):
+    return ("train", {"data_path": "inl.csv", "objective": "nll", **payload}, 2)
+
+
+# case -> (subcommand, config, exit code) for inputs that once escaped as
+# tracebacks or exit 0; paths are relative to the directory of the files
+BAD_INPUTS = {
+    "eval_abc_cell": ("eval", {"inlier_scores": "abc.csv", "outlier_scores": "ok.csv"}, 3),
+    "label_x": ("score", _score("label_x.csv"), 3),
+    "label_300": ("score", _score("label_300.csv"), 3),
+    "label_byte_200": ("score", _score("byte.cftr"), 3),
+    "nan_feature": ("score", _score("nan.csv"), 2),
+    # finite z under the identity init model, whose squared norm overflows
+    "nll_overflow": ("score", _score("huge.csv"), 1),
+    "zero_blocks": ("train", {"data_path": "inl.csv", "model": {"n_blocks": 0}}, 2),
+    "clamp_alpha_0": ("train", {"data_path": "inl.csv", "model": {"clamp_alpha": 0}}, 2),
+    "cftr_rows_2e62": ("train", {"data_path": "rows_2e62.cftr"}, 3),
+    "cftr_trailing_bytes": ("score", _score("trailing.cftr"), 3),
+    "cflw_alpha_0": ("score", _score("inl.csv", "alpha0.cflw"), 3),
+    "cflw_zero_blocks": ("score", _score("inl.csv", "blocks0.cflw"), 3),
+    "cflw_dim_huge": ("score", _score("inl.csv", "dim_huge.cflw"), 3),
+    "cflw_hidden_huge": ("score", _score("inl.csv", "hidden_huge.cflw"), 3),
+    "n_blocks_2.5": _nll_train(model={"n_blocks": 2.5}),
+    "n_blocks_true": _nll_train(model={"n_blocks": True}),
+    "hidden_width_2.5": _nll_train(model={"hidden_width": 2.5}),
+    "max_epochs_1.5": _nll_train(train={"max_epochs": 1.5}),
+    "batch_size_2.5": _nll_train(train={"batch_size": 2.5}),
+    "patience_1.5": _nll_train(train={"patience": 1.5}),
+    "seed_1.5": _nll_train(seed=1.5),
+    "val_fraction_leaves_no_rows": _nll_train(train={"val_fraction": 0.999}),
+    "lr_negative": _nll_train(train={"lr": -1.0}),
+    "lr_string": _nll_train(train={"lr": "x"}),
+    "lr_nan": _nll_train(train={"lr": float("nan")}),
+    "contrastive_empty": ("train", {"data_path": "inl.csv", "contrastive_path": "empty.csv"}, 2),
+    # a contrastive row whose NLL overflows under the initial model
+    "contrastive_nll_overflow": ("train", {"data_path": "inl.csv", "contrastive_path": "huge.csv",
+                                           "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
+    "sweep_mu_grid_string": ("mu-sweep", {"mu_grid": "x"}, 2),
+    "sweep_mu_grid_1.5": ("mu-sweep", {"mu_grid": [1.5]}, 2),
+    "sweep_seed_-1": ("mu-sweep", {"seed": -1}, 2),
+    "sweep_contrastive_total_0": ("mu-sweep", {"contrastive_total": 0}, 2),
+    "sweep_bench_n_train_0": ("mu-sweep", {"bench": {"n_train": 0}}, 2),
+    "toy1d_grid_n_2.5": ("toy1d", {"grid": {"n": 2.5}}, 2),
+    "toy1d_n_train_0": ("toy1d", {"n_train": 0}, 2),
+    "toy1d_epsilon_string": ("toy1d", {"epsilon": "x"}, 2),
+    "toy1d_inlier_mean_string": ("toy1d", {"inlier": {"mean": "x"}}, 2),
+    "toy1d_train_list": ("toy1d", {"train": []}, 2),
+    "tabular_test_fraction_1.5": ("tabular", {"test_fraction": 1.5}, 2),
+    "tabular_correlation_1": ("tabular", {"synthetic": {"correlation": 1.0}}, 2),
+    "tabular_seed_string": ("tabular", {"seed": "0"}, 2),
+    "toy2d_n_scatter_-1": ("toy2d", {"n_scatter": -1}, 2),
+    "eval_n_bins_0": ("eval", {"inlier_scores": "ok.csv", "outlier_scores": "ok.csv",
+                               "n_bins": 0}, 2),
+}
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["eval_abc_cell", "label_x", "label_300", "label_byte_200",
-                                  "nan_feature", "nll_overflow", "zero_blocks", "clamp_alpha_0",
-                                  "cftr_rows_2e62", "cftr_trailing_bytes", "cflw_alpha_0",
-                                  "cflw_zero_blocks", "cflw_dim_huge", "cflw_hidden_huge",
-                                  "n_blocks_2.5", "n_blocks_true", "hidden_width_2.5",
-                                  "max_epochs_1.5", "batch_size_2.5", "patience_1.5",
-                                  "seed_1.5", "val_fraction_leaves_no_rows", "lr_negative",
-                                  "lr_string", "lr_nan", "contrastive_empty",
-                                  "contrastive_nll_overflow"])
-def test_bad_input_exit_code_without_traceback(tmp_path, capsys, case):
-    kind, payload, code = _bad_inputs(tmp_path)[case]
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, monkeypatch, case):
+    kind, payload, code = BAD_INPUTS[case]
+    _write_bad_input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
                   str(_write_cfg(tmp_path, payload, name="bad.json"))])
     err = capsys.readouterr().err
     assert rc == code
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _leaves(cfg, prefix=()):
+    """The key path of every value in cfg that is not an object."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_value_of_the_wrong_kind_exits_2_before_any_fit(tmp_path_factory, data):
+    # one leaf of a kind's defaults set to a value of another kind: a config
+    # error in one line, raised before a model is trained
+    kind = data.draw(st.sampled_from(sorted(cli.DEFAULTS)))
+    path = data.draw(st.sampled_from(sorted(_leaves(cli.DEFAULTS[kind]))))
+    default = cli.DEFAULTS[kind]
+    for key in path:
+        default = default[key]
+    value = data.draw(st.sampled_from(["x", 2.5, -1, True, [{}], {}]))
+    assume(not cli._fits(default, value))
+    payload = value
+    for key in reversed(path):
+        payload = {key: payload}
+    root = tmp_path_factory.mktemp("kind")
+    cfg = _write_cfg(root, payload)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was trained before the config was checked")
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(methods, "train", no_fit)
+        mp.setattr(training, "train", no_fit)
+        rc = run_cli([kind, "--config", str(cfg)])
+    assert rc == 2
+    assert err.getvalue().startswith(f"config error: {'.'.join(path)} must be ")
+    assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(cli.DEFAULTS))
+def test_defaults_merged_over_themselves_are_unchanged(kind):
+    assert cli._merge(cli.DEFAULTS[kind], cli.DEFAULTS[kind]) == cli.DEFAULTS[kind]
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,6 +12,14 @@ from cnflow.errors import DimensionError, NumericError
 from helpers import finite_difference_grad, per_name_adam_step, store_of
 
 
+def grad_of(store, arrays):
+    """A gradient in the store's layout holding the named arrays."""
+    grads = store.new_grad()
+    for name, value in arrays.items():
+        grads[name][...] = value
+    return grads
+
+
 def make_store(spec, seed=0, zero_last=False, prefix=""):
     params = init_mlp_params(spec, np.random.default_rng(seed), zero_last)
     return store_of({prefix + name: value for name, value in params.items()})
@@ -201,7 +209,7 @@ def test_finite_difference_constant():
 
 def test_adam_first_step_magnitude():
     store = store_of({"p": np.array([1.0])})
-    adam_step(store, {"p": np.ones(1)}, lr=1e-3)
+    adam_step(store, grad_of(store, {"p": np.ones(1)}), lr=1e-3)
     # bias-corrected first step is lr * g / (|g| + eps)
     assert store.params["p"][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
     assert store.step == 1
@@ -210,14 +218,14 @@ def test_adam_first_step_magnitude():
 def test_adam_zero_grad_fixed_point():
     store = store_of({"p": np.array([0.7, -0.3])})
     before = store.params["p"].copy()
-    adam_step(store, {"p": np.zeros(2)}, lr=1e-3)
+    adam_step(store, grad_of(store, {"p": np.zeros(2)}), lr=1e-3)
     assert np.max(np.abs(store.params["p"] - before)) < 1e-3 * 1e-6
 
 
 def test_adam_nan_grad_leaves_params_unchanged():
     store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
     with pytest.raises(NumericError, match="gradient for 'q'; parameters unchanged"):
-        adam_step(store, {"p": np.ones(1), "q": np.array([np.nan])}, lr=1e-3)
+        adam_step(store, grad_of(store, {"p": np.ones(1), "q": np.array([np.nan])}), lr=1e-3)
     assert store.params["p"][0] == 1.0
     assert store.params["q"][0] == 2.0
     assert store.step == 0
@@ -231,15 +239,15 @@ def test_adam_matches_scalar_resimulation(shapes, steps, lr, seed):
     # independent per-coordinate scalar re-simulation of the update rule,
     # and the caller's gradient arrays are only read
     rng = np.random.default_rng(seed)
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    b1, b2, eps = 0.9, 0.999, 1e-8  # diffcore's Adam constants
     store = store_of({f"p{k}": rng.uniform(-2.0, 2.0, size=shape)
                       for k, shape in enumerate(shapes)})
     # per coordinate: [theta, m, v]
     ref = {name: [[float(x), 0.0, 0.0] for x in p.ravel()] for name, p in store.params.items()}
     for t in range(1, steps + 1):
-        grads = {name: 2.0 * (p - 1.0) for name, p in store.params.items()}
+        grads = grad_of(store, {name: 2.0 * (p - 1.0) for name, p in store.params.items()})
         before = {name: g.copy() for name, g in grads.items()}
-        adam_step(store, grads, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam_step(store, grads, lr=lr)
         assert store.step == t
         for name, coords in ref.items():
             assert np.array_equal(grads[name], before[name])
@@ -256,13 +264,12 @@ def test_adam_matches_scalar_resimulation(shapes, steps, lr, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4),
-       big=st.booleans(), flat_grads=st.booleans(), steps=st.integers(1, 3),
+       big=st.booleans(), steps=st.integers(1, 3),
        lr=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
-def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, flat_grads, steps, lr, seed):
+def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, steps, lr, seed):
     # the flat, chunked step against the per-name oracle on two stores of
     # the same parameters: empty stores, zero-size parameters and (with
-    # big) a store that spans more than one chunk; the gradient is either
-    # a FlatViews of the store's layout or a plain dict, which is gathered
+    # big) a store that spans more than one chunk
     rng = np.random.default_rng(seed)
     named = {f"p{k}": tuple(shape) for k, shape in enumerate(shapes)}
     if big:
@@ -271,12 +278,7 @@ def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, flat_grads, step
     store, oracle = store_of(init), store_of(init)
     assert store.n_params() == sum(p.size for p in init.values())
     for t in range(1, steps + 1):
-        grads = {name: rng.standard_normal(shape) for name, shape in named.items()}
-        if flat_grads:
-            flat = store.new_grad()
-            for name, g in grads.items():
-                flat[name][...] = g
-            grads = flat
+        grads = grad_of(store, {name: rng.standard_normal(shape) for name, shape in named.items()})
         adam_step(store, grads, lr=lr)
         per_name_adam_step(oracle, grads, lr=lr)
         assert store.step == oracle.step == t
@@ -287,8 +289,18 @@ def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, flat_grads, step
 def test_adam_on_an_empty_store_only_counts_the_step():
     store = ParamStore({})
     adam_step(store, store.new_grad(), lr=1e-3)
-    adam_step(store, {}, lr=1e-3)
+    adam_step(store, store.new_grad(), lr=1e-3)
     assert store.step == 2 and store.n_params() == 0
+
+
+def test_adam_rejects_a_gradient_of_another_layout():
+    # a plain dict, or a FlatViews of another size, is not the store's
+    # gradient; the step leaves the store as it was
+    store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
+    for grads in ({"p": np.ones(1), "q": np.ones(1)}, ParamStore({"p": (1,)}).new_grad()):
+        with pytest.raises(DimensionError, match="FlatViews of the store's size"):
+            adam_step(store, grads, lr=1e-3)
+    assert store.params.flat.tolist() == [1.0, 2.0] and store.step == 0
 
 
 def test_store_views_share_one_flat_array_per_kind():

@@ -33,7 +33,7 @@ import numpy as np
 from . import baselines, datasets, flows, metrics, oracle, training
 from .errors import ConfigError, FormatError, NumericError
 from .flows import FlowConfig
-from .methods import check_methods, fit_method, one_vs_rest
+from .methods import CONTRASTIVE_METHODS, check_methods, fit_method, one_vs_rest
 from .training import TrainConfig
 
 
@@ -125,7 +125,7 @@ DEFAULTS: dict[str, dict] = {
     "report": {
         "seed": 0,
         "out": None,
-        "class_paths": None,
+        "class_paths": [],
         "contrastive_path": None,
         "methods": ["cf"],
         "test_fraction": 0.2,
@@ -143,16 +143,17 @@ DEFAULTS["informed"] = dict(copy.deepcopy(DEFAULTS["mu-sweep"]), variant="inform
                             mu_grid=[0.5, 1.0], methods=["cf"])
 
 
-_KINDS = {dict: "object", int: "count", float: "number", str: "string"}
+_KINDS = {dict: "object", int: "count", float: "number", str: "string", type(None): "string"}
 
 
 def _fits(default, value) -> bool:
     """Whether value has the kind of the default it replaces (README, Config
-    schema); a count is an integer >= 0, and every null default is a path."""
+    schema); a count is an integer >= 0, every null default is a path and
+    every empty-list default a list of paths."""
     if default is None:
-        return value is None or isinstance(value, str) or _fits([""], value)
+        return value is None or isinstance(value, str)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+        return isinstance(value, list) and all(_fits((default or [""])[0], v) for v in value)
     if isinstance(default, float):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
@@ -161,10 +162,8 @@ def _fits(default, value) -> bool:
 
 
 def _kind(default, plural: str = "") -> str:
-    if default is None:
-        return "a string or a list of strings"
     if isinstance(default, list):
-        return "a list of " + _kind(default[0], "s")
+        return "a list of " + _kind((default or [""])[0], "s")
     noun = _KINDS[type(default)]
     return noun + plural if plural else ("an " if noun == "object" else "a ") + noun
 
@@ -378,28 +377,30 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
     base_tc = _train_config(cfg, objective="contrastive")
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
 
+    # every mixture is checked before the first fit and mixed when reached
+    specs = [[datasets.MixSpec(bench.broad_pool, contaminant, mu, cfg["contrastive_total"],
+                               seed=cfg["seed"] + rep + 7000) for rep in range(reps)]
+             for mu in cfg["mu_grid"]]
+
+    def aurocs(m, contr, rep):
+        score = fit_method(m, bench.inlier_train, contr, base_tc, cfg["seed"] + rep, fc,
+                           val_contrastive=bench.broad_val)
+        s_in = score(bench.inlier_test.data)
+        return (metrics.auroc(s_in, score(bench.hard_test.data)),
+                metrics.auroc(s_in, score(bench.rest_test.data)))
+
+    # a method that reads no contrastive set has the same AUROCs at every mu
+    fixed = {m: [aurocs(m, None, rep) for rep in range(reps)]
+             for m in methods if m not in CONTRASTIVE_METHODS}
     rows = []
     table = []
-    nll_cache: dict[int, tuple[float, float]] = {}
-    for mu in cfg["mu_grid"]:
-        per_method: dict[str, list[tuple[float, float]]] = {m: [] for m in methods}
-        for rep in range(reps):
-            rep_seed = cfg["seed"] + rep
-            contr = datasets.mix_datasets(datasets.MixSpec(
-                bench.broad_pool, contaminant, mu, cfg["contrastive_total"],
-                seed=rep_seed + 7000))
-            for m in methods:
-                if m == "nll_flow" and rep in nll_cache and mu != cfg["mu_grid"][0]:
-                    per_method[m].append(nll_cache[rep])
-                    continue
-                score = fit_method(m, bench.inlier_train, contr, base_tc,
-                                   rep_seed, fc, val_contrastive=bench.broad_val)
-                s_in = score(bench.inlier_test.data)
-                hard = metrics.auroc(s_in, score(bench.hard_test.data))
-                rest = metrics.auroc(s_in, score(bench.rest_test.data))
-                per_method[m].append((hard, rest))
-                if m == "nll_flow":
-                    nll_cache[rep] = (hard, rest)
+    for mu, mu_specs in zip(cfg["mu_grid"], specs):
+        per_method = {m: [] for m in methods if m not in fixed}
+        for rep, spec in enumerate(mu_specs):
+            contr = datasets.mix_datasets(spec)
+            for m in per_method:
+                per_method[m].append(aurocs(m, contr, rep))
+        per_method.update(fixed)
         for m in methods:
             vals = np.array(per_method[m])
             hard_mean = 100.0 * float(vals[:, 0].mean())
@@ -629,8 +630,9 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # errors.py's input errors and the range checks of the library
+    except (ValueError, MemoryError) as exc:
+        # errors.py's input errors, the range checks of the library and
+        # sizes too large to allocate
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

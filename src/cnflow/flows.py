@@ -67,10 +67,9 @@ class FlowConfig:
     hidden_width: int = 512
     clamp_alpha: float = 3.0
     activation: str = "relu"
-    n_hidden_layers: int = 2
 
     def __post_init__(self):
-        require_ints(self, "n_blocks", "hidden_width", "n_hidden_layers")
+        require_ints(self, "n_blocks", "hidden_width")
         if self.n_blocks < 1:
             raise DimensionError("n_blocks must be >= 1")
         require_positive_reals(self, "clamp_alpha")
@@ -100,9 +99,8 @@ class FlowModel:
 
 def init_model(dim: int, n_blocks: int = 8, hidden_width: int = 512,
                clamp_alpha: float = 3.0, seed: int = 0,
-               activation: str = "relu", n_hidden_layers: int = 2) -> FlowModel:
-    return build_model(dim, FlowConfig(n_blocks, hidden_width, clamp_alpha,
-                                       activation, n_hidden_layers), seed)
+               activation: str = "relu") -> FlowModel:
+    return build_model(dim, FlowConfig(n_blocks, hidden_width, clamp_alpha, activation), seed)
 
 
 def _subnet_spec(dim: int, cfg: FlowConfig) -> MlpSpec:
@@ -113,8 +111,7 @@ def _subnet_spec(dim: int, cfg: FlowConfig) -> MlpSpec:
     if dim == 1:
         return MlpSpec(0, 2, n_hidden_layers=0)
     d_trans = dim // 2
-    return MlpSpec(dim - d_trans, 2 * d_trans, cfg.hidden_width, cfg.n_hidden_layers,
-                   cfg.activation)
+    return MlpSpec(dim - d_trans, 2 * d_trans, cfg.hidden_width, activation=cfg.activation)
 
 
 def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, fill) -> FlowModel:
@@ -405,9 +402,8 @@ def save_model(model: FlowModel, path) -> None:
     """Versioned binary dump: header, then per block the permutation and
     the parameter arrays in declaration order as little-endian float64."""
     cfg = model.config
-    if cfg.activation != "relu" or cfg.n_hidden_layers != 2:
-        raise ValueError("model file v1 stores the default subnet only "
-                         "(relu activation, two hidden layers)")
+    if cfg.activation != "relu":
+        raise ValueError("model file v1 stores relu subnets only")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, model.dim, model.n_blocks,
                               cfg.hidden_width, cfg.clamp_alpha))

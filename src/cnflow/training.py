@@ -149,70 +149,6 @@ def _epoch_batches(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
-def _train_phase(model: FlowModel, train_in: Array, train_c: Array | None,
-                 val_in: Array | None, val_c: Array | None, cfg: TrainConfig,
-                 objective: str, max_epochs: int, early_stop: bool,
-                 rng_in: np.random.Generator, rng_c: np.random.Generator,
-                 history: TrainHistory) -> None:
-    n_in = train_in.shape[0]
-    steps_in = _epoch_batches(n_in, cfg.batch_size)
-    steps = steps_in
-    if objective == "contrastive":
-        n_c = train_c.shape[0]
-        steps_c = _epoch_batches(n_c, cfg.batch_size)
-        steps = max(steps_in, steps_c)
-    best_metric = None
-    best_params = None
-    best_epoch = -1
-    stale = 0
-    for _ in range(max_epochs):
-        perm_in = rng_in.permutation(n_in)
-        if objective == "contrastive":
-            perm_c = rng_c.permutation(n_c)
-        losses = []
-        for step in range(steps):
-            lo = (step % steps_in) * cfg.batch_size
-            xb = train_in[perm_in[lo:lo + cfg.batch_size]]
-            if objective == "contrastive":
-                lo_c = (step % steps_c) * cfg.batch_size
-                yb = train_c[perm_c[lo_c:lo_c + cfg.batch_size]]
-                loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau)
-            else:
-                loss, grads = nll_objective(model, xb)
-            adam_step(model.store, grads, cfg.lr)
-            # freed now, not when the next step's gradient replaces it
-            del grads
-            losses.append(loss)
-        history.train_loss.append(float(np.mean(losses)))
-        metric = None
-        proxy = None
-        if val_in is not None and val_in.shape[0] > 0:
-            if val_c is not None and val_c.shape[0] > 0:
-                proxy = proxy_auroc(model, val_in, val_c)
-                metric = proxy            # maximize
-            else:
-                metric = float(np.mean(log_prob(model, val_in)))  # maximize log density
-        history.proxy_auroc.append(proxy)
-        epoch_index = len(history.train_loss) - 1
-        if early_stop and metric is not None:
-            if best_metric is None or metric > best_metric:
-                best_metric = metric
-                best_params = model.store.copy_params()
-                best_epoch = epoch_index
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    history.stopped_early = True
-                    break
-        else:
-            best_epoch = epoch_index
-    if best_params is not None:
-        model.store.load_params(best_params)
-    if best_epoch >= 0 and (early_stop or history.best_epoch < 0):
-        history.best_epoch = best_epoch
-
-
 def train(model: FlowModel, inlier_set, contrastive_set=None,
           cfg: TrainConfig | None = None,
           val_contrastive_set=None) -> tuple[FlowModel, TrainHistory]:
@@ -224,20 +160,21 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     run is followed by FINETUNE_EPOCHS of contrastive finetuning with
     fresh optimizer moments and no early stopping.
 
-    By default the proxy-AUROC validation split is carved out of the
-    contrastive set itself; pass val_contrastive_set to validate against a
-    fixed external pool instead (e.g. held-out broad-source samples when
-    the training contrastive set is a contaminated mixture).
+    The proxy AUROC validates against val_contrastive_set whenever it is
+    given (e.g. held-out broad-source samples when the training
+    contrastive set is a contaminated mixture), also for the nll
+    objective; otherwise its split is carved out of the contrastive set.
     """
     if cfg is None:
         cfg = TrainConfig()
     data_in = _as_data(inlier_set)
     data_c = None if contrastive_set is None else _as_data(contrastive_set)
+    val_c = None if val_contrastive_set is None else _as_data(val_contrastive_set)
     if data_in.shape[0] == 0:
         raise DegenerateDataError("inlier set is empty")
     if cfg.objective != "nll" and (data_c is None or data_c.shape[0] == 0):
         raise DegenerateDataError(f"objective {cfg.objective!r} needs a non-empty contrastive set")
-    if data_c is not None and data_c.shape[1] != data_in.shape[1]:
+    if any(c is not None and c.shape[1] != data_in.shape[1] for c in (data_c, val_c)):
         raise DimensionError("inlier and contrastive sets disagree on dimension")
     if data_in.shape[1] != model.dim:
         raise DimensionError("data dimension != model dimension")
@@ -246,24 +183,72 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     rng_split_in, rng_split_c, rng_in, rng_c, rng_ft_in, rng_ft_c = streams
 
     train_in, val_in = _val_split(data_in, cfg.val_fraction, rng_split_in)
-    train_c = val_c = None
-    if data_c is not None:
-        if val_contrastive_set is not None:
-            train_c, val_c = data_c, _as_data(val_contrastive_set)
-        else:
-            train_c, val_c = _val_split(data_c, cfg.val_fraction, rng_split_c)
+    train_c = data_c
+    if val_c is None and data_c is not None:
+        train_c, val_c = _val_split(data_c, cfg.val_fraction, rng_split_c)
 
     history = TrainHistory()
-    if cfg.max_epochs > 0:
-        first_objective = "nll" if cfg.objective in ("nll", "cf_ft") else "contrastive"
-        _train_phase(model, train_in, train_c, val_in, val_c, cfg,
-                     first_objective, cfg.max_epochs, early_stop=True,
-                     rng_in=rng_in, rng_c=rng_c, history=history)
+    n_in = train_in.shape[0]
+    steps_in = _epoch_batches(n_in, cfg.batch_size)
+    # (objective, epochs, early stopping, shuffle streams) of each phase
+    phases = [("nll" if cfg.objective in ("nll", "cf_ft") else "contrastive",
+               cfg.max_epochs, True, rng_in, rng_c)]
     if cfg.objective == "cf_ft":
-        model.store.reset_optimizer()
-        _train_phase(model, train_in, train_c, val_in, val_c, cfg,
-                     "contrastive", FINETUNE_EPOCHS, early_stop=False,
-                     rng_in=rng_ft_in, rng_c=rng_ft_c, history=history)
+        phases.append(("contrastive", FINETUNE_EPOCHS, False, rng_ft_in, rng_ft_c))
+    for objective, max_epochs, early_stop, shuffle_in, shuffle_c in phases:
+        if not early_stop:
+            # the finetune starts from fresh optimizer moments
+            model.store.reset_optimizer()
+        contrastive = objective == "contrastive"
+        steps_c = _epoch_batches(train_c.shape[0], cfg.batch_size) if contrastive else 0
+        steps = max(steps_in, steps_c)
+        best_metric = best_params = None
+        stale = 0
+        for _ in range(max_epochs):
+            perm_in = shuffle_in.permutation(n_in)
+            if contrastive:
+                perm_c = shuffle_c.permutation(train_c.shape[0])
+            losses = []
+            for step in range(steps):
+                lo = (step % steps_in) * cfg.batch_size
+                xb = train_in[perm_in[lo:lo + cfg.batch_size]]
+                if contrastive:
+                    lo_c = (step % steps_c) * cfg.batch_size
+                    yb = train_c[perm_c[lo_c:lo_c + cfg.batch_size]]
+                    loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau)
+                else:
+                    loss, grads = nll_objective(model, xb)
+                adam_step(model.store, grads, cfg.lr)
+                # freed now, not when the next step's gradient replaces it
+                del grads
+                losses.append(loss)
+            history.train_loss.append(float(np.mean(losses)))
+            metric = None
+            proxy = None
+            if val_in is not None and val_in.shape[0] > 0:
+                if val_c is not None and val_c.shape[0] > 0:
+                    proxy = proxy_auroc(model, val_in, val_c)
+                    metric = proxy            # maximize
+                else:
+                    metric = float(np.mean(log_prob(model, val_in)))  # maximize log density
+            history.proxy_auroc.append(proxy)
+            epoch = len(history.train_loss) - 1
+            if early_stop and metric is not None:
+                if best_metric is None or metric > best_metric:
+                    best_metric = metric
+                    best_params = model.store.copy_params()
+                    history.best_epoch = epoch
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= cfg.patience:
+                        history.stopped_early = True
+                        break
+            elif early_stop or cfg.max_epochs == 0:
+                # the finetune's epochs are the best only when no NLL epoch ran
+                history.best_epoch = epoch
+        if best_params is not None:
+            model.store.load_params(best_params)
     return model, history
 
 

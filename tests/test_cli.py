@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,10 @@ BAD_INPUTS = {
     "toy2d_n_scatter_-1": ("toy2d", {"n_scatter": -1}, 2),
     "eval_n_bins_0": ("eval", {"inlier_scores": "ok.csv", "outlier_scores": "ok.csv",
                                "n_bins": 0}, 2),
+    # a list for a single-path key, and a string for the list of paths
+    "eval_inlier_scores_list": ("eval", {"inlier_scores": ["ok.csv"]}, 2),
+    "train_data_path_list": ("train", {"data_path": ["inl.csv"]}, 2),
+    "report_class_paths_string": ("report", {"class_paths": "x"}, 2),
 }
 
 
@@ -482,8 +487,18 @@ def test_every_config_field_is_reachable():
 
     # the runners set objective and seed themselves
     assert unreachable(TrainConfig, "train") <= {"objective", "seed"}
-    # the softplus gradient checks build flows with these through init_model
-    assert unreachable(FlowConfig, "model") <= {"activation", "n_hidden_layers"}
+    # the softplus gradient checks build flows with it through init_model
+    assert unreachable(FlowConfig, "model") <= {"activation"}
+
+
+def test_a_size_too_large_to_allocate_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(datasets, "gen_gaussian", no_memory)
+    assert run_cli(["toy1d", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and len(err.strip().splitlines()) == 1
 
 
 def _score_with_overflow_at(tmp_path, capsys, n_rows, bad_row):
@@ -556,6 +571,44 @@ def test_mu_sweep_bad_reps_or_method_list_exits_2_in_one_line(tmp_path, capsys, 
     assert rc == 2
     assert err.startswith("config error:") and expected in err
     assert len(err.strip().splitlines()) == 1
+
+
+SMALL_SWEEP = {
+    "reps": 2, "mu_grid": [0.5, 0.5, 1.0], "contrastive_total": 200,
+    "methods": ["nll_flow", "mse", "mse_ratio", "cf"],
+    "bench": {"dim": 3, "seed": 1, "n_train": 200, "n_test": 60, "n_pool": 400},
+    "model": {"n_blocks": 2, "hidden_width": 8},
+    "train": {"batch_size": 128, "max_epochs": 2, "patience": 2, "clamp_tau": 12.0},
+}
+
+
+def test_mu_sweep_fits_a_method_without_contrastive_set_once_per_rep(tmp_path, monkeypatch):
+    fits = []
+    fit_method = cli.fit_method
+
+    def counting_fit(name, train_in, contrastive, *args, **kwargs):
+        fits.append((name, contrastive is None))
+        return fit_method(name, train_in, contrastive, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_method", counting_fit)
+    assert run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                    str(_write_cfg(tmp_path, SMALL_SWEEP))]) == 0
+    assert all(no_set == (name not in methods.CONTRASTIVE_METHODS) for name, no_set in fits)
+    reps, n_mu = SMALL_SWEEP["reps"], len(SMALL_SWEEP["mu_grid"])
+    assert Counter(name for name, _ in fits) == {
+        "nll_flow": reps, "mse": reps, "mse_ratio": reps * n_mu, "cf": reps * n_mu}
+
+
+def test_mu_sweep_checks_every_mu_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a method was fitted before every mu was checked")
+
+    monkeypatch.setattr(cli, "fit_method", no_fit)
+    payload = {**SMALL_SWEEP, "mu_grid": [0.0, 1.5]}
+    assert run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                    str(_write_cfg(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [["toy2d", "--reps", "2"], ["toy1d", "--reps", "2"],

@@ -70,6 +70,8 @@ def _runs(paths: dict[str, str], out: Path) -> list[tuple[str, str, dict]]:
                             "train": {"batch_size": 128, "max_epochs": 2}}),
         ("mu-sweep", "mu-sweep", {**SWEEP, "methods": [
             "cf", "cf_ft", "nll_flow", "flow_ratio", "mse", "mse_ratio"]}),
+        ("mu-sweep-reps", "mu-sweep", {**SWEEP, "reps": 2, "mu_grid": [0.5, 0.5, 1.0],
+                                       "methods": ["nll_flow", "mse", "mse_ratio", "cf"]}),
         ("informed", "informed", SWEEP),
         ("tabular", "tabular", {"synthetic": {"dim": 3, "n_inlier": 300, "n_outlier": 60},
                                 "model": SMALL_MODEL, "train": SMALL_TRAIN}),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cnflow import cli, flows
 from cnflow.datasets import gen_gaussian
-from cnflow.errors import DegenerateDataError, NumericError
-from cnflow.training import (TrainConfig, contrastive_objective, nll_objective,
+from cnflow.errors import DegenerateDataError, DimensionError, NumericError
+from cnflow.training import (FINETUNE_EPOCHS, TrainConfig, contrastive_objective, nll_objective,
                              proxy_auroc, select_epsilon, train)
 from helpers import finite_difference_grad, two_pass_contrastive
 
@@ -281,6 +281,32 @@ def test_cf_ft_runs_both_phases():
     model, history = train(flows.init_model(1, 2, 8, seed=5), inl, con, cfg)
     assert len(history.train_loss) == 3 + 2
     assert history.best_epoch < 3
+
+
+def test_cf_ft_without_nll_epochs_takes_the_last_finetune_epoch():
+    inl = gen_gaussian([0.0], 1.0, 400, seed=10)
+    con = gen_gaussian([1.0], 2.0, 400, seed=11)
+    cfg = TrainConfig(batch_size=128, max_epochs=0, clamp_tau=6.0, objective="cf_ft", seed=12)
+    _, history = train(flows.init_model(1, 2, 8, seed=5), inl, con, cfg)
+    assert len(history.train_loss) == FINETUNE_EPOCHS
+    assert history.best_epoch == FINETUNE_EPOCHS - 1
+
+
+def test_nll_training_validates_against_a_given_contrastive_set():
+    inl = gen_gaussian([0.0], 1.0, 400, seed=10)
+    val_c = gen_gaussian([1.0], 2.0, 100, seed=11)
+    cfg = TrainConfig(batch_size=128, max_epochs=3, objective="nll", seed=12)
+    _, history = train(flows.init_model(1, 2, 8, seed=5), inl, None, cfg,
+                       val_contrastive_set=val_c)
+    assert len(history.proxy_auroc) == 3
+    assert all(auroc is not None for auroc in history.proxy_auroc)
+
+
+def test_train_checks_the_validation_contrastive_dimension_before_any_epoch():
+    cfg = TrainConfig(objective="nll", max_epochs=0)
+    with pytest.raises(DimensionError):
+        train(small_model(), gen_gaussian([0.0], 1.0, 10, seed=0), None, cfg,
+              val_contrastive_set=gen_gaussian([0.0, 0.0], 1.0, 10, seed=1))
 
 
 def test_train_requires_contrastive_for_cf():

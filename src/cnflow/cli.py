@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datasets, flows, metrics, oracle, training
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .flows import FlowConfig
 from .methods import CONTRASTIVE_METHODS, check_methods, fit_method, one_vs_rest
 from .training import TrainConfig
@@ -350,10 +350,12 @@ def _load_bench(cfg: dict) -> datasets.ClusterBenchmark:
     if any(paths.values()):
         if not all(paths.values()):
             raise ConfigError(f"feature-file benchmarks need all of {file_keys}")
-        inl = datasets.load_features(paths["inlier_path"])
-        hard = datasets.load_features(paths["hard_path"])
-        rest = datasets.load_features(paths["rest_path"])
-        broad = datasets.load_features(paths["broad_path"])
+        inl, hard, rest, broad = sets = [datasets.load_features(paths[k]) for k in file_keys]
+        # checked before any fit, which would otherwise fail only when a
+        # fitted model first scores the odd file out
+        if len({fs.dim for fs in sets}) > 1:
+            raise DimensionError("bench feature files disagree on dimension: " + ", ".join(
+                f"{paths[k]} has {fs.dim} columns" for k, fs in zip(file_keys, sets)))
         inl_train, inl_extra, inl_test = datasets.split(inl, (0.5, 0.3, 0.2), cfg["seed"])
         hard_pool, hard_test = datasets.split(hard, (0.7, 0.3), cfg["seed"] + 1)
         broad_pool, broad_val = datasets.split(broad, (0.85, 0.15), cfg["seed"] + 2)

@@ -2,10 +2,18 @@
 
 Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
-forward/backward with an activation cache (or a forward pass in place in
-caller-given arrays, with no cache), an in-place Adam step over a
+forward/backward with an activation cache, an in-place Adam step over a
 ParamStore that reads a gradient laid out like its parameters, and the
 thread count of the BLAS that runs the matmuls.
+
+The forward pass computes each layer in place in its matmul output, in
+caller-given arrays if there are any, and the cache keeps those outputs.
+The backward pass consumes its cache: it writes each layer's input
+gradient into the memory of the layer's input activation, which it no
+longer needs, and the rest of its working memory (a relu mask and, when
+it adds into a gradient, one weight-gradient product) comes from an
+MlpScratch that a caller can keep from call to call.  Every product is
+computed as a fresh one would be, so no bit depends on where it lands.
 
 A ParamStore keeps its parameters, its two Adam moments and each gradient
 as views of one flat float64 array per kind (a FlatViews dict), all laid
@@ -235,39 +243,59 @@ def _activate(kind: str, h: Array, out: Array | None = None) -> Array:
     return np.logaddexp(0.0, h, out=out)  # softplus
 
 
-def _scale_by_activate_grad(kind: str, a: Array, g: Array) -> None:
-    """g *= f'(h), the activation's derivative taken from its output a = f(h)."""
+def _input_grad(kind: str, a: Array, g: Array, w: Array, mask: Array) -> Array:
+    """(g @ w.T) * f'(h), the input gradient of a layer whose input is the
+    activation a = f(h), which is dead afterwards: relu computes it in a's
+    memory once its mask is read into the boolean array `mask`, softplus
+    takes f'(h) in a's memory."""
     if kind == "relu":
         # a = max(h, 0) > 0 exactly where h > 0, and the multiply casts the
         # mask to 1.0/0.0, the bits of a float mask
-        g *= a > 0.0
-    else:
-        # softplus: f'(h) = sigmoid(h) = 1 - exp(-a)
-        g *= -np.expm1(-a)
+        np.greater(a, 0.0, out=mask)
+        out = np.matmul(g, w.T, out=a)
+        out *= mask
+        return out
+    # softplus: f'(h) = sigmoid(h) = 1 - exp(-a)
+    deriv = np.negative(np.expm1(np.negative(a, out=a), out=a), out=a)
+    out = g @ w.T
+    out *= deriv
+    return out
 
 
 @dataclass
 class MlpCache:
-    """Activation record from mlp_forward; valid until the parameters change."""
+    """Activation record from mlp_forward, for one mlp_backward call;
+    valid until the parameters change."""
 
     spec: MlpSpec
     prefix: str
     weights: list[Array]
     inputs: list[Array]   # activation entering each linear layer
     out_shape: tuple[int, int]
+    spent: bool = False   # set by the backward pass, which overwrites the activations
+
+
+class MlpScratch:
+    """Backward-pass memory of a network for up to `rows` rows: a relu
+    mask, and the product a.T @ g that an adding backward pass adds into a
+    weight gradient."""
+
+    def __init__(self, spec: MlpSpec, rows: int):
+        self.mask = np.empty((rows, spec.hidden_width if spec.n_hidden_layers else 0), dtype=bool)
+        self.weight_grad = np.empty(max(fan_in * fan_out for fan_in, fan_out in spec.layer_dims()))
 
 
 def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
-                out: list[Array] | None = None) -> tuple[Array, MlpCache | None]:
+                out: list[Array] | None = None) -> tuple[Array, MlpCache]:
     """The network's output for the rows of x and the cache mlp_backward
     needs.  Each hidden activation is computed in place in its layer's
     matmul output, which the cache keeps as the next layer's input.  With
     `out`, one array per layer with at least as many rows as x, every
-    layer computes in place in the first rows of its array, the output is
-    a view of the last one, and no cache is built (None)."""
+    layer computes in place in the first rows of its array, so the output
+    is a view of the last one."""
     x = as_batch(x, spec.in_width)
     dims = spec.layer_dims()
-    cache = None if out else MlpCache(spec, prefix, [], [], (x.shape[0], spec.out_width))
+    cache = MlpCache(spec, prefix, [], [], (x.shape[0], spec.out_width))
     a = x
     for layer, (fan_in, fan_out) in enumerate(dims):
         w = store.params[prefix + f"w{layer}"]
@@ -276,41 +304,54 @@ def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
             raise DimensionError(f"{prefix}w{layer} has shape {w.shape}, spec wants {(fan_in, fan_out)}")
         h = np.matmul(a, w, out=out[layer][:x.shape[0]] if out else None)
         h += b
-        if cache:
-            cache.weights.append(w)
-            cache.inputs.append(a)
+        cache.weights.append(w)
+        cache.inputs.append(a)
         if layer == len(dims) - 1:
             return h, cache
         a = _activate(spec.activation, h, out=h)
 
 
 def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = None,
-                 add: bool = False) -> tuple[FlatViews, Array]:
+                 add: bool = False, scratch: MlpScratch | None = None,
+                 grad_in: Array | None = None) -> tuple[FlatViews, Array]:
     """The gradients of sum(grad_out * output) with respect to the
     network's parameters and its input.  The parameter gradients are
     written in place into the views of `grads` (a new FlatViews of the
     network's parameters by default), or added to them with `add`; the
-    input gradient is a new array."""
+    input gradient is written to `grad_in` (a new array by default).
+
+    The pass consumes the cache: each hidden layer's input gradient is
+    computed in the memory of the layer's input activation, dead once its
+    weight gradient is taken, so a second pass over the same cache raises.
+    The rest of its memory comes from `scratch` (a new MlpScratch by
+    default)."""
+    if cache.spent:
+        raise RuntimeError("an MlpCache serves one backward pass; run the forward pass again")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != cache.out_shape:
         raise DimensionError(f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}")
+    cache.spent = True
     spec, prefix = cache.spec, cache.prefix
     if grads is None:
         grads = FlatViews({prefix + name: shape for name, shape in spec.param_shapes().items()})
+    if scratch is None:
+        scratch = MlpScratch(spec, grad_out.shape[0])
     g = grad_out
     for layer in range(len(cache.weights) - 1, -1, -1):
         a = cache.inputs[layer]
         gw, gb = grads[prefix + f"w{layer}"], grads[prefix + f"b{layer}"]
         if add:
-            gw += a.T @ g
+            gw += np.matmul(a.T, g, out=scratch.weight_grad[:gw.size].reshape(gw.shape))
             gb += g.sum(axis=0)
         else:
             np.matmul(a.T, g, out=gw)
             g.sum(axis=0, out=gb)
-        g = g @ cache.weights[layer].T
-        if layer > 0:
-            # a is the output of hidden layer layer - 1; g is a new array
-            _scale_by_activate_grad(spec.activation, a, g)
+        if layer == 0:
+            g = np.matmul(g, cache.weights[0].T, out=grad_in)
+        else:
+            # a is the output of hidden layer layer - 1
+            g = _input_grad(spec.activation, a, g, cache.weights[layer],
+                            scratch.mask[:a.shape[0]])
     return grads, g
 
 
@@ -330,13 +371,14 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
     if not isinstance(grads, FlatViews) or grads.flat.size != store.n_params():
         raise DimensionError("the gradient must be a FlatViews of the store's size")
     flat_g = grads.flat
-    if not np.all(np.isfinite(flat_g)):
+    n = flat_g.size
+    # checked chunk by chunk, so that the mask is never parameter-sized
+    if not all(np.isfinite(flat_g[lo:lo + _ADAM_CHUNK]).all() for lo in range(0, n, _ADAM_CHUNK)):
         bad = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
         raise NumericError(f"non-finite gradient for {bad!r}; parameters unchanged")
     t = store.step + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t
-    n = flat_g.size
     # the operations and their order are those of
     #   m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g g,
     #   p -= lr (m / c1) / (sqrt(v / c2) + eps)

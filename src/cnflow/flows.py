@@ -28,6 +28,14 @@ smaller matmuls than for the whole batch's.  OpenBLAS splits a matmul's
 rows and columns among its threads but never the inner sum, so the
 number of workers does not change a bit either.
 
+The cached pass of training (nll_with_backward) runs in a cached
+workspace, which holds every coupling block's arrays and MLP layer
+outputs for the backward pass; a fit builds one, sized to its largest
+batch, and every pass of every step computes in its first rows.  The
+backward pass computes in the memory of activations it no longer needs,
+so a backward function runs once, and raises if a later pass has reused
+its workspace.
+
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
 bias) whose bias holds the learned raw log-scale and shift.
@@ -45,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (FlatViews, MlpCache, MlpSpec, ParamStore, as_batch, blas_threads,
-                       init_mlp_params, mlp_backward, mlp_forward, require_ints,
+from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
+                       blas_threads, init_mlp_params, mlp_backward, mlp_forward, require_ints,
                        require_positive_reals, single_blas_thread)
 from .errors import DimensionError, FormatError, NumericError
 
@@ -145,34 +153,57 @@ def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
     return _assemble(dim, cfg, subnet, fill)
 
 
-class _Workspace:
-    """Arrays for the coupling steps of up to `rows` rows.  A worker of a
-    forward-only call takes one and reuses it for every coupling block and
-    row block it runs; the cached pass keeps a new one per coupling block
-    for the backward pass (trans, th = tanh(raw / alpha) and exp_s) and
-    lets the MLP allocate (and cache) its own outputs."""
+class _CouplingArrays:
+    """The arrays of one coupling step of up to `rows` rows: the
+    conditioning and transformed halves of the permuted input, tanh(raw /
+    alpha) (in exp_s's memory unless kept for a backward pass), the exp of
+    the clamped log-scale and the output of each conditioner layer."""
 
-    def __init__(self, model: FlowModel, rows: int, cached: bool = False):
+    def __init__(self, model: FlowModel, rows: int, keep_th: bool):
         spec = model.blocks[0].subnet
         d_trans = model.dim - spec.in_width
         self.cond = np.empty((rows, spec.in_width))
         self.trans = np.empty((rows, d_trans))
         self.exp_s = np.empty((rows, d_trans))
-        # tanh is needed only until the log-scale is formed, unless cached
-        self.th = np.empty((rows, d_trans)) if cached else self.exp_s
-        self.layers = None if cached else [np.empty((rows, fan_out))
-                                           for _, fan_out in spec.layer_dims()]
-        # the latent and log-determinant of a row block, for log_prob
-        self.z = None if cached else np.empty((rows, model.dim))
-        self.logdet = None if cached else np.empty(rows)
+        # tanh is needed only until the log-scale is formed, unless kept
+        self.th = np.empty((rows, d_trans)) if keep_th else self.exp_s
+        self.layers = [np.empty((rows, fan_out)) for _, fan_out in spec.layer_dims()]
 
 
-def _coupling(model: FlowModel, block: CouplingBlock, ws: _Workspace, n: int):
-    """Run the conditioner on the first n rows of ws.cond.  Returns the
-    clamped log-scale alpha * tanh(s_raw / alpha), in ws.exp_s (with the
-    tanh in ws.th), the shift t and the MLP cache."""
-    raw, mlp_cache = mlp_forward(model.store, block.subnet, ws.cond[:n], block.prefix, ws.layers)
-    th, s = ws.th[:n], ws.exp_s[:n]
+class Workspace:
+    """The memory of passes of up to `rows` rows, reused from pass to pass.
+
+    `blocks` holds the coupling arrays of each coupling block.  In a
+    forward-only workspace (a worker of a forward-only call takes one)
+    they are one set, which every coupling block of every row block
+    computes in.  A cached one, which a training fit keeps for its cached
+    passes, has a set per coupling block, all of which the backward pass
+    reads, and the backward pass's own memory.  A pass over fewer rows
+    uses the first rows of each array.  `generation` counts the passes run
+    in it, forward and backward, so that a backward function can tell
+    that its arrays have been reused or consumed."""
+
+    def __init__(self, model: FlowModel, rows: int, cached: bool = False):
+        self.rows = rows
+        if cached:
+            self.blocks = [_CouplingArrays(model, rows, True) for _ in model.blocks]
+            # the latent gradient of every other block of a backward pass
+            self.grad = np.empty((rows, model.dim))
+            self.mlp = MlpScratch(model.blocks[0].subnet, rows)
+        else:
+            self.blocks = [_CouplingArrays(model, rows, False)] * model.n_blocks
+        # the latent and log-determinant of a pass
+        self.z = np.empty((rows, model.dim))
+        self.logdet = np.empty(rows)
+        self.generation = 0
+
+
+def _coupling(model: FlowModel, block: CouplingBlock, w: _CouplingArrays, n: int):
+    """Run the conditioner on the first n rows of w.cond.  Returns the
+    clamped log-scale alpha * tanh(s_raw / alpha), in w.exp_s (with the
+    tanh in w.th), the shift t and the MLP cache."""
+    raw, mlp_cache = mlp_forward(model.store, block.subnet, w.cond[:n], block.prefix, w.layers)
+    th, s = w.th[:n], w.exp_s[:n]
     np.divide(raw[:, :block.d_trans], model.config.clamp_alpha, out=th)
     np.tanh(th, out=th)
     np.multiply(model.config.clamp_alpha, th, out=s)
@@ -189,17 +220,16 @@ def _nll(model: FlowModel, z: Array, logdet: Array) -> Array:
 # is then the only one
 @np.errstate(over="ignore", invalid="ignore")
 def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
-                  ws: _Workspace | None = None) -> list[tuple[_Workspace, MlpCache]]:
+                  ws: Workspace) -> list[MlpCache]:
     """Write the latent of x to z and its log-determinant to logdet, and
-    return the (workspace, MLP cache) of every block for the backward
-    pass.  With a workspace (forward-only), every block computes in its
-    arrays and no cache is kept."""
+    return the MLP cache of every block, which, with the block's arrays in
+    ws, is what the backward pass needs when ws is a cached workspace."""
     n = x.shape[0]
     logdet[...] = 0.0
     caches = []
     z_in = x
     for block in model.blocks:
-        w = ws or _Workspace(model, n, cached=True)
+        w = ws.blocks[block.index]
         cond, trans = w.cond[:n], w.trans[:n]
         # the permutations are bijections, so no index needs the bounds
         # check, whose mode="raise" would take a temporary copy
@@ -213,25 +243,25 @@ def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
         z[:, block.d_cond:] += t
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite values after coupling block {block.index}")
-        if ws is None:
-            caches.append((w, mlp_cache))
+        caches.append(mlp_cache)
         z_in = z
     return caches
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: _Workspace) -> None:
+def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: Workspace) -> None:
     """Write T(x) to z and the log-determinant of T at x to logdet."""
     n = x.shape[0]
     logdet[...] = 0.0
     z_in = x
     for block in reversed(model.blocks):
-        cond = ws.cond[:n]
+        w = ws.blocks[block.index]
+        cond = w.cond[:n]
         cond[...] = z_in[:, :block.d_cond]
-        s, t, _ = _coupling(model, block, ws, n)
+        s, t, _ = _coupling(model, block, w, n)
         logdet -= s.sum(axis=1)
         inv_exp_s = np.exp(np.negative(s, out=s), out=s)
-        back = np.subtract(z_in[:, block.d_cond:], t, out=ws.trans[:n])
+        back = np.subtract(z_in[:, block.d_cond:], t, out=w.trans[:n])
         back *= inv_exp_s
         # undo the permutation: column perm[k] of the block's input was
         # column k of its permuted input
@@ -251,7 +281,7 @@ def _checked_batch(model: FlowModel, x) -> Array:
     return x
 
 
-def _nll_rows(model: FlowModel, x: Array, nll: Array, ws: _Workspace) -> None:
+def _nll_rows(model: FlowModel, x: Array, nll: Array, ws: Workspace) -> None:
     """Write the NLL of the rows of x to nll, with their latent in ws."""
     n = x.shape[0]
     z, logdet = ws.z[:n], ws.logdet[:n]
@@ -280,7 +310,7 @@ def _by_row_blocks(model: FlowModel, x: Array, step, *outs: Array) -> None:
     at = [0] * n_workers  # the block each worker runs or stopped at
 
     def work(k: int) -> None:
-        ws = _Workspace(model, rows)
+        ws = Workspace(model, rows)
         for i in range(k, n_blocks, n_workers):
             at[k] = i
             lo, hi = edges[i], edges[i + 1]
@@ -344,52 +374,83 @@ def sample(model: FlowModel, n: int, seed: int) -> Array:
     return inverse(model, rng.standard_normal((n, model.dim)))
 
 
-def _backward_pass(model: FlowModel, caches: list[tuple[_Workspace, MlpCache]],
-                   dz: Array, dld: Array, grads: FlatViews, add: bool) -> None:
+def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: Array,
+                   dld: Array, grads: FlatViews, add: bool) -> None:
     """Write (or with `add`, add) to grads the gradients of
-    sum_i [dz_i . z_i-path + dld_i * logdet_i] w.r.t. all parameters."""
-    g = dz
-    for block, (w, mlp_cache) in zip(reversed(model.blocks), reversed(caches)):
+    sum_i [g_i . z_i + dld_i * logdet_i] w.r.t. all parameters, where g,
+    the latent gradient, is in the first rows of ws.z.  Every step computes
+    in ws memory that the pass no longer needs: the conditioner's output
+    gradient in its output, 1 - th^2 in th, the conditioner's input
+    gradient in cond, and each block's input gradient in whichever of ws.z
+    and ws.grad does not hold its output gradient."""
+    n = g.shape[0]
+    spare = ws.grad[:n]
+    for block, mlp_cache in zip(reversed(model.blocks), reversed(caches)):
+        w = ws.blocks[block.index]
+        trans, th, exp_s = w.trans[:n], w.th[:n], w.exp_s[:n]
         g_out = g[:, block.d_cond:]
-        d_s = g_out * w.trans * w.exp_s + dld[:, None]
-        d_raw = np.concatenate([d_s * (1.0 - w.th ** 2), g_out], axis=1)
-        _, g_cond_sub = mlp_backward(mlp_cache, d_raw, grads, add)
-        g_u = np.concatenate([g[:, :block.d_cond] + g_cond_sub, g_out * w.exp_s], axis=1)
-        g_prev = np.empty_like(g_u)
-        g_prev[:, block.perm] = g_u
-        g = g_prev
+        d_raw = w.layers[-1][:n]
+        d_s = np.multiply(g_out, trans, out=d_raw[:, :block.d_trans])
+        d_s *= exp_s
+        d_s += dld[:, None]
+        np.square(th, out=th)
+        d_s *= np.subtract(1.0, th, out=th)
+        d_raw[:, block.d_trans:] = g_out
+        _, g_cond_sub = mlp_backward(mlp_cache, d_raw, grads, add, ws.mlp, w.cond[:n])
+        g[:, :block.d_cond] += g_cond_sub
+        g_out *= exp_s
+        spare[:, block.perm] = g
+        g, spare = spare, g
 
 
-def nll_with_backward(model: FlowModel, x) -> tuple[Array, Callable[..., FlatViews]]:
+def nll_with_backward(model: FlowModel, x, *,
+                      workspace: Workspace | None = None) -> tuple[Array, Callable[..., FlatViews]]:
     """Per-sample NLL vector from one cached forward pass, and the function
     backward(weights, into=None) that maps one weight per sample to the
     gradient of sum_i weights_i * nll_i through the same cache: a new
     gradient laid out like the model's parameters, or, given `into`, the
     gradient `into` with this one added to it in place.
 
+    The pass runs in `workspace`, a cached Workspace of at least as many
+    rows as x (a new one by default).  The backward function can run once,
+    and only before the next pass in the same workspace: it raises
+    otherwise, since the arrays it reads are gone.
+
     The NLL is bitwise that of log_prob whenever log_prob runs the batch
     in one row block, and raises the same error when it is not finite.
     """
     x = _checked_batch(model, x)
-    z, logdet = np.empty_like(x), np.empty(x.shape[0])
-    caches = _forward_pass(model, x, z, logdet)
+    n = x.shape[0]
+    ws = Workspace(model, n, cached=True) if workspace is None else workspace
+    if ws.rows < n:
+        raise DimensionError(f"a workspace of {ws.rows} rows cannot hold a batch of {n}")
+    ws.generation += 1
+    generation = ws.generation
+    z, logdet = ws.z[:n], ws.logdet[:n]
+    caches = _forward_pass(model, x, z, logdet, ws)
     nll = _finite(_nll(model, z, logdet))
 
     def backward(weights, into: FlatViews | None = None) -> FlatViews:
+        if ws.generation != generation:
+            raise RuntimeError("the workspace of this pass was reused or its backward pass "
+                               "has run; run the forward pass again")
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (z.shape[0],):
+        if weights.shape != (n,):
             raise DimensionError("weights must be one scalar per sample")
+        ws.generation += 1
         grads = model.store.new_grad() if into is None else into
-        _backward_pass(model, caches, weights[:, None] * z, -weights, grads, into is not None)
+        _backward_pass(model, ws, caches, np.multiply(weights[:, None], z, out=z), -weights,
+                       grads, into is not None)
         return grads
 
     return nll, backward
 
 
-def weighted_nll_grad(model: FlowModel, x, weights) -> tuple[Array, FlatViews]:
+def weighted_nll_grad(model: FlowModel, x, weights, *,
+                      workspace: Workspace | None = None) -> tuple[Array, FlatViews]:
     """Per-sample NLL vector and the gradient of sum_i weights_i * nll_i,
-    from nll_with_backward."""
-    nll, backward = nll_with_backward(model, x)
+    from nll_with_backward (in `workspace`)."""
+    nll, backward = nll_with_backward(model, x, workspace=workspace)
     return nll, backward(weights)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .diffcore import FlatViews, adam_step, require_ints, require_positive_reals
 from .errors import DegenerateDataError, DimensionError, NumericError
-from .flows import FlowModel, log_prob, nll_with_backward, weighted_nll_grad
+from .flows import FlowModel, Workspace, log_prob, nll_with_backward, weighted_nll_grad
 
 Array = np.ndarray
 
@@ -81,21 +81,23 @@ def _as_data(x) -> Array:
     return np.ascontiguousarray(getattr(x, "data", x), dtype=np.float64)
 
 
-def nll_objective(model: FlowModel, batch) -> tuple[float, FlatViews]:
-    """Mean NLL and its exact gradients."""
+def nll_objective(model: FlowModel, batch, *,
+                  workspace: Workspace | None = None) -> tuple[float, FlatViews]:
+    """Mean NLL and its exact gradients, from a pass in `workspace` (a
+    cached flows.Workspace, a new one by default)."""
     batch = _as_data(batch)
     if batch.shape[0] == 0:
         raise DegenerateDataError("empty batch")
     n = batch.shape[0]
-    nll, grads = weighted_nll_grad(model, batch, np.full(n, 1.0 / n))
+    nll, grads = weighted_nll_grad(model, batch, np.full(n, 1.0 / n), workspace=workspace)
     loss = float(nll.mean())
     if not math.isfinite(loss):
         raise NumericError("NLL loss is non-finite")
     return loss, grads
 
 
-def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
-                          tau: float) -> tuple[float, FlatViews]:
+def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
+                          workspace: Workspace | None = None) -> tuple[float, FlatViews]:
     """Clamped contrastive loss and its exact gradients.
 
     The contrastive batch runs forward once.  Contrastive samples with
@@ -103,6 +105,11 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
     backward pass, which runs over the whole batch if any sample is below
     the clamp and not at all otherwise, so a fully saturated batch leaves
     the gradients bit-identical to the plain NLL objective.
+
+    Both batches run in `workspace` (a cached flows.Workspace of as many
+    rows as the larger batch; by default each pass builds its own): the
+    inlier batch's backward pass ends before the contrastive batch's
+    forward pass starts.
     """
     pos = _as_data(pos_batch)
     neg = _as_data(neg_batch)
@@ -111,9 +118,9 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch,
     if pos.shape[1] != neg.shape[1]:
         raise DimensionError("batches disagree on dimension")
     n = pos.shape[0]
-    nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n))
+    nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n), workspace=workspace)
     m = neg.shape[0]
-    nll_neg, neg_backward = nll_with_backward(model, neg)
+    nll_neg, neg_backward = nll_with_backward(model, neg, workspace=workspace)
     active = nll_neg < tau
     if np.any(active):
         # added layer by layer into the inlier gradient: the sum is
@@ -190,6 +197,15 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     history = TrainHistory()
     n_in = train_in.shape[0]
     steps_in = _epoch_batches(n_in, cfg.batch_size)
+    # every step gathers its batches into these rows and runs its passes
+    # in one workspace, sized to the largest batch of the fit
+    batch_in = np.empty((min(cfg.batch_size, n_in), model.dim))
+    batch_c = None
+    rows = batch_in.shape[0]
+    if cfg.objective != "nll":
+        batch_c = np.empty((min(cfg.batch_size, train_c.shape[0]), model.dim))
+        rows = max(rows, batch_c.shape[0])
+    workspace = Workspace(model, rows, cached=True)
     # (objective, epochs, early stopping, shuffle streams) of each phase
     phases = [("nll" if cfg.objective in ("nll", "cf_ft") else "contrastive",
                cfg.max_epochs, True, rng_in, rng_c)]
@@ -211,13 +227,14 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
             losses = []
             for step in range(steps):
                 lo = (step % steps_in) * cfg.batch_size
-                xb = train_in[perm_in[lo:lo + cfg.batch_size]]
+                xb = _gather(train_in, perm_in[lo:lo + cfg.batch_size], batch_in)
                 if contrastive:
                     lo_c = (step % steps_c) * cfg.batch_size
-                    yb = train_c[perm_c[lo_c:lo_c + cfg.batch_size]]
-                    loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau)
+                    yb = _gather(train_c, perm_c[lo_c:lo_c + cfg.batch_size], batch_c)
+                    loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau,
+                                                        workspace=workspace)
                 else:
-                    loss, grads = nll_objective(model, xb)
+                    loss, grads = nll_objective(model, xb, workspace=workspace)
                 adam_step(model.store, grads, cfg.lr)
                 # freed now, not when the next step's gradient replaces it
                 del grads
@@ -250,6 +267,13 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
         if best_params is not None:
             model.store.load_params(best_params)
     return model, history
+
+
+def _gather(data: Array, rows: Array, out: Array) -> Array:
+    """data[rows], copied into the first rows of out."""
+    # rows come from a permutation, so no index needs the bounds check,
+    # whose mode="raise" would take a temporary copy
+    return np.take(data, rows, axis=0, out=out[:rows.size], mode="clip")
 
 
 def _val_split(data: Array, fraction: float, rng: np.random.Generator):

@@ -573,6 +573,27 @@ def test_mu_sweep_bad_reps_or_method_list_exits_2_in_one_line(tmp_path, capsys, 
     assert len(err.strip().splitlines()) == 1
 
 
+def test_bench_files_of_different_dimensions_exit_2_before_any_fit(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a 3-d rest file beside 2-d inlier, hard and broad files once failed
+    # only when the first fitted model scored the rest test set
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the bench files were checked")
+
+    monkeypatch.setattr(cli, "fit_method", no_fit)
+    bench = {}
+    for key, dim in (("inlier", 2), ("hard", 2), ("rest", 3), ("broad", 2)):
+        bench[f"{key}_path"] = str(tmp_path / f"{key}.cftr")
+        save_features(gen_gaussian([0.0] * dim, 1.0, 100, seed=dim), bench[f"{key}_path"])
+    rc = run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, {"bench": bench}))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid input: bench feature files disagree on dimension")
+    assert f"{bench['rest_path']} has 3 columns" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 SMALL_SWEEP = {
     "reps": 2, "mu_grid": [0.5, 0.5, 1.0], "contrastive_total": 200,
     "methods": ["nll_flow", "mse", "mse_ratio", "cf"],

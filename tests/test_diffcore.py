@@ -79,10 +79,13 @@ def test_forward_into_buffers_matches_cached_forward(activation, n_hidden, in_wi
     want, cache = mlp_forward(store, spec, x)
     # buffers with more rows than x, filled with garbage
     out = [np.full((rows + spare, fan_out), np.nan) for _, fan_out in spec.layer_dims()]
-    got, no_cache = mlp_forward(store, spec, x, out=out)
-    assert no_cache is None and cache is not None
+    got, kept = mlp_forward(store, spec, x, out=out)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(out[-1][:rows], want)
+    # the cache keeps the hidden activations in the given arrays
+    for a, buf, b in zip(kept.inputs[1:], out, cache.inputs[1:]):
+        assert np.shares_memory(a, buf) or not a.size
+        assert np.array_equal(a, b)
 
 
 def test_backward_zero_grad_output():
@@ -181,10 +184,11 @@ def test_relu_backward_is_bitwise_the_pre_activation_mask_backward(n_hidden, row
     store.params["b0"][...] = 0.0
     y, cache = mlp_forward(store, spec, x)
     grad_out = rng.standard_normal(y.shape)
-    grads, gx = mlp_backward(cache, grad_out)
     pre = _pre_activations(store, spec, x)
     for layer, h in enumerate(pre):
         assert np.array_equal(cache.inputs[layer + 1] > 0.0, h > 0.0)
+    # the backward pass consumes the cache's activations
+    grads, gx = mlp_backward(cache, grad_out)
     g, inputs = grad_out, [x] + [np.maximum(h, 0.0) for h in pre]
     for layer in range(n_hidden, -1, -1):
         assert np.array_equal(grads[f"w{layer}"], inputs[layer].T @ g)
@@ -321,15 +325,64 @@ def test_mlp_backward_adds_into_a_given_gradient():
     spec = MlpSpec(3, 2, hidden_width=5, n_hidden_layers=2)
     store = make_store(spec, seed=4)
     rng = np.random.default_rng(5)
-    _, cache = mlp_forward(store, spec, rng.standard_normal((6, 3)))
+    x = rng.standard_normal((6, 3))
     g1, g2 = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-    first, _ = mlp_backward(cache, g1)
-    second, _ = mlp_backward(cache, g2)
+
+    def cache():
+        # a backward pass consumes its cache, so each one runs a forward pass
+        return mlp_forward(store, spec, x)[1]
+
+    first, _ = mlp_backward(cache(), g1)
+    second, _ = mlp_backward(cache(), g2)
     total = store.new_grad()
-    assert mlp_backward(cache, g1, total)[0] is total
-    mlp_backward(cache, g2, total, add=True)
+    assert mlp_backward(cache(), g1, total)[0] is total
+    mlp_backward(cache(), g2, total, add=True)
     for name in store.params:
         assert np.array_equal(total[name], first[name] + second[name])
+
+
+def test_a_spent_mlp_cache_raises():
+    spec = MlpSpec(3, 2, hidden_width=5, n_hidden_layers=2)
+    store = make_store(spec, seed=4)
+    y, cache = mlp_forward(store, spec, np.ones((4, 3)))
+    mlp_backward(cache, np.ones_like(y))
+    with pytest.raises(RuntimeError, match="one backward pass"):
+        mlp_backward(cache, np.ones_like(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(activation=st.sampled_from(["relu", "softplus"]), n_hidden=st.integers(0, 3),
+       in_width=st.integers(0, 4), rows=st.integers(1, 9), spare=st.integers(0, 3),
+       add=st.booleans(), seed=st.integers(0, 10_000))
+def test_backward_in_given_memory_is_bitwise_the_allocating_backward(
+        activation, n_hidden, in_width, rows, spare, add, seed):
+    # a forward pass into given arrays and a backward pass with a kept
+    # scratch and a given input gradient array, both with spare rows of
+    # garbage, give the bits of the passes that allocate their own arrays
+    spec = MlpSpec(in_width, 3, hidden_width=4, n_hidden_layers=n_hidden, activation=activation)
+    store = make_store(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in store.params.values():
+        p += rng.standard_normal(p.shape)
+    x = rng.standard_normal((rows, in_width))
+    grad_out = rng.standard_normal((rows, 3))
+    start = grad_of(store, {name: rng.standard_normal(p.shape)
+                            for name, p in store.params.items()})
+    want = grad_of(store, start)
+    _, cache = mlp_forward(store, spec, x)
+    _, want_gx = mlp_backward(cache, grad_out, want, add)
+    out = [np.full((rows + spare, fan_out), np.nan) for _, fan_out in spec.layer_dims()]
+    scratch = diffcore.MlpScratch(spec, rows + spare)
+    scratch.mask.fill(True)
+    scratch.weight_grad.fill(np.nan)
+    gx_buf = np.full((rows + spare, in_width), np.nan)
+    got = grad_of(store, start)
+    _, kept = mlp_forward(store, spec, x, out=out)
+    _, gx = mlp_backward(kept, grad_out, got, add, scratch, gx_buf[:rows])
+    assert np.shares_memory(gx, gx_buf) or not gx.size
+    assert np.array_equal(gx, want_gx)
+    for name in store.params:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_deterministic_init():

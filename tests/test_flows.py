@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import diffcore, flows
-from cnflow.errors import FormatError, NumericError
+from cnflow.errors import DimensionError, FormatError, NumericError
 from cnflow.training import nll_objective
 from helpers import finite_difference_grad
 
@@ -273,6 +273,26 @@ def test_cached_pass_keeps_each_hidden_activation_once():
         tracemalloc.stop()
     assert kept[0].shape == (2048,)
     assert peak / (2048 * 256 * 8) < 5
+
+
+def test_a_stale_backward_raises():
+    # a backward function reads its pass's arrays in the workspace: once a
+    # later pass has reused them, or its own backward pass has consumed
+    # them, it must raise rather than return a wrong gradient
+    model = small_model(dim=3, seed=1)
+    perturb(model, seed=2)
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    workspace = flows.Workspace(model, 5, cached=True)
+    _, stale = flows.nll_with_backward(model, x, workspace=workspace)
+    _, backward = flows.nll_with_backward(model, y, workspace=workspace)
+    with pytest.raises(RuntimeError, match="reused"):
+        stale(np.ones(5))
+    backward(np.ones(4))
+    with pytest.raises(RuntimeError, match="reused"):
+        backward(np.ones(4))
+    with pytest.raises(DimensionError, match="workspace of 5 rows"):
+        flows.nll_with_backward(model, rng.standard_normal((6, 3)), workspace=workspace)
 
 
 # --- parallel row blocks ----------------------------------------------------

@@ -47,6 +47,8 @@ def _inputs(root: Path) -> dict[str, str]:
         "labelled": FeatureSet(labelled.data, labels),
         "inl1": gen_gaussian([0.0], 1.0, 300, seed=4),
         "contr1": gen_gaussian([1.0], 2.0, 300, seed=5),
+        "inl8": gen_gaussian([0.5] * 8, 1.0, 1200, seed=6),
+        "contr8": gen_gaussian([0.0] * 8, 2.0, 1200, seed=7),
     }
     paths = {}
     for name, fs in sets.items():
@@ -88,6 +90,11 @@ def _runs(paths: dict[str, str], out: Path) -> list[tuple[str, str, dict]]:
                                  "contrastive_path": paths["contr1"], **train}),
         ("train-cf_ft", "train", {"data_path": paths["inl"], "contrastive_path": paths["contr"],
                                   "objective": "cf_ft", **train}),
+        # the shape of the sweep-d8 benchmark: width 64 and batch 512, whose
+        # 1080 training rows end in a short batch, with the clamp active
+        ("train-d8", "train", {"data_path": paths["inl8"], "contrastive_path": paths["contr8"],
+                               "model": {"n_blocks": 3, "hidden_width": 64},
+                               "train": {**SMALL_TRAIN, "batch_size": 512}}),
         ("score-in", "score", {"model_path": str(out / "train" / "model.cflw"),
                                "data_path": paths["inl"]}),
         ("score-out", "score", {"model_path": str(out / "train" / "model.cflw"),

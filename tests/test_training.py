@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import cli, flows
+from cnflow.diffcore import adam_step
 from cnflow.datasets import gen_gaussian
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 from cnflow.training import (FINETUNE_EPOCHS, TrainConfig, contrastive_objective, nll_objective,
@@ -212,6 +213,66 @@ def test_contrastive_runs_each_batch_forward_once(monkeypatch, active):
     monkeypatch.setattr(flows, "mlp_forward", counting)
     contrastive_objective(model, pos, neg, tau)
     assert sum(rows) == model.n_blocks * (7 + 11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 5), hidden=st.sampled_from([1, 4, 17]), n_blocks=st.integers(1, 3),
+       rows=st.integers(1, 40), short=st.integers(1, 40),
+       objective=st.sampled_from(["nll", "none", "some", "all"]),
+       activation=st.sampled_from(["relu", "softplus"]), seed=st.integers(0, 10_000))
+def test_steps_in_one_warm_workspace_match_fresh_workspaces(dim, hidden, n_blocks, rows, short,
+                                                            objective, activation, seed):
+    # a fit runs every step in one workspace of `rows` rows, its last
+    # batch often shorter; each step must give the bits of a step run in
+    # a workspace of its own
+    model = small_model(dim=dim, seed=seed, hidden=hidden, n_blocks=n_blocks,
+                        activation=activation)
+    perturb(model, seed=seed)
+    rng = np.random.default_rng(seed)
+    workspace = flows.Workspace(model, rows, cached=True)
+    for n in (rows, min(short, rows), rows):
+        pos, neg = rng.standard_normal((n, dim)), 2.0 * rng.standard_normal((rows, dim))
+        if objective == "nll":
+            want = nll_objective(model, pos)
+            got = nll_objective(model, pos, workspace=workspace)
+        else:
+            tau = _tau_leaving(objective, model, neg)
+            want = contrastive_objective(model, pos, neg, tau)
+            got = contrastive_objective(model, pos, neg, tau, workspace=workspace)
+        assert np.array_equal(got[0], want[0])
+        assert not np.shares_memory(got[1].flat, want[1].flat)
+        assert np.array_equal(got[1].flat, want[1].flat)
+        # the parameters move between steps, as in a fit
+        adam_step(model.store, got[1], 1e-2)
+
+
+def test_a_warm_contrastive_step_allocates_no_batch_by_width_array():
+    # after one warm-up step, a step in the same workspace (clamp active
+    # on some rows) allocates its gradient (80 KB) and arrays of batch x D
+    # only: its traced peak stays under one batch x width array (256 KB),
+    # where allocating passes took the 2 x 2 hidden activations at least
+    batch, width = 512, 64
+    model = small_model(dim=8, seed=3, hidden=width, n_blocks=2)
+    perturb(model, scale=0.1, seed=4)
+    rng = np.random.default_rng(5)
+    pos, neg = rng.standard_normal((batch, 8)), 2.0 * rng.standard_normal((batch, 8))
+    tau = _tau_leaving("some", model, neg)
+    workspace = flows.Workspace(model, batch, cached=True)
+
+    def step():
+        loss, grads = contrastive_objective(model, pos, neg, tau, workspace=workspace)
+        adam_step(model.store, grads, 1e-3)
+        return grads
+
+    step()
+    tracemalloc.start()
+    try:
+        grads = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads.flat.nbytes < 100_000
+    assert peak < batch * width * 8
 
 
 def test_contrastive_overflowing_negative_row_raises():

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datasets, flows, metrics, oracle, training
+from .diffcore import run_tasks
 from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .flows import FlowConfig
 from .methods import CONTRASTIVE_METHODS, check_methods, fit_method, one_vs_rest
@@ -40,6 +41,8 @@ from .training import TrainConfig
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# the model of every experiment but `train`; _merge copies it per run
+_WIDTH64_MODEL = {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0}
 DEFAULTS: dict[str, dict] = {
     "toy1d": {
         "seed": 0,
@@ -50,7 +53,7 @@ DEFAULTS: dict[str, dict] = {
         "contrastive": {"mean": [1.0], "sd": [2.0]},
         "epsilon": -6.0,
         "grid": {"lo": -6.0, "hi": 6.0, "n": 4001},
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
+        "model": _WIDTH64_MODEL,
         "train": {"batch_size": 1024, "lr": 1e-3, "max_epochs": 60,
                   "patience": 1000000, "val_fraction": 0.0},
     },
@@ -64,7 +67,7 @@ DEFAULTS: dict[str, dict] = {
         "epsilon": -6.0,
         "grid": {"lo": -6.0, "hi": 6.0, "n": 61},
         "n_scatter": 500,
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
+        "model": _WIDTH64_MODEL,
         "train": {"batch_size": 512, "lr": 1e-3, "max_epochs": 30,
                   "patience": 1000000, "val_fraction": 0.0},
     },
@@ -81,7 +84,7 @@ DEFAULTS: dict[str, dict] = {
                   "n_test": 500, "n_pool": 4000,
                   "inlier_path": None, "hard_path": None,
                   "rest_path": None, "broad_path": None},
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
+        "model": _WIDTH64_MODEL,
         "train": {"batch_size": 512, "lr": 1e-3, "max_epochs": 60,
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
@@ -93,7 +96,7 @@ DEFAULTS: dict[str, dict] = {
         "synthetic": {"dim": 6, "n_inlier": 4000, "n_outlier": 400,
                       "correlation": 0.9, "outlier_sd": 1.0},
         "test_fraction": 0.25,
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
+        "model": _WIDTH64_MODEL,
         "train": {"batch_size": 256, "lr": 1e-3, "max_epochs": 40,
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
@@ -132,7 +135,7 @@ DEFAULTS: dict[str, dict] = {
         "synthetic": {"dim": 8, "n_classes": 3, "n_per_class": 1200,
                       "cluster_sd": 0.5, "radius": 2.0, "broad_sd": 2.0,
                       "n_broad": 3000},
-        "model": {"n_blocks": 8, "hidden_width": 64, "clamp_alpha": 3.0},
+        "model": _WIDTH64_MODEL,
         "train": {"batch_size": 256, "lr": 1e-3, "max_epochs": 30,
                   "patience": 10, "val_fraction": 0.1, "clamp_tau": 12.0},
     },
@@ -200,6 +203,13 @@ def _train_config(cfg: dict, **extra) -> TrainConfig:
     return TrainConfig(**{**cfg["train"], **extra})
 
 
+def _fit_flow(cfg: dict, seed: int, inlier_set, contrastive_set=None, **extra):
+    """cfg's model built from seed and trained on the sets, and its history."""
+    tc = _train_config(cfg, seed=seed, **extra)
+    model = flows.build_model(inlier_set.dim, FlowConfig(**cfg["model"]), seed)
+    return training.train(model, inlier_set, contrastive_set, tc)
+
+
 def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out")
     if not out:
@@ -243,23 +253,23 @@ def _toy1d_parts(cfg: dict):
     return p, q, grid
 
 
-def _train_toy1d(cfg: dict, epsilon: float, seed: int):
+def _learned_toy1d(cfg: dict, epsilon: float, grid):
+    """The density on grid of the 1-D flow trained with clamp threshold
+    -epsilon, and its training history."""
+    seed = cfg["seed"]
     inl = datasets.gen_gaussian(cfg["inlier"]["mean"], cfg["inlier"]["sd"],
                                 cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive"]["mean"], cfg["contrastive"]["sd"],
                                 cfg["n_contrastive"], seed=seed + 22)
-    model = flows.build_model(1, FlowConfig(**cfg["model"]), seed)
-    tc = _train_config(cfg, clamp_tau=-epsilon, seed=seed, objective="contrastive")
-    model, history = training.train(model, inl, con, tc)
-    return model, history
+    model, history = _fit_flow(cfg, seed, inl, con, clamp_tau=-epsilon, objective="contrastive")
+    return oracle.model_density_on_grid(partial(flows.log_prob, model), grid), history
 
 
 def run_toy1d(cfg: dict) -> dict:
     out = _out_dir(cfg)
     p, q, grid = _toy1d_parts(cfg)
     pbar = oracle.positive_difference(p, q, grid)
-    model, history = _train_toy1d(cfg, cfg["epsilon"], cfg["seed"])
-    learned = oracle.model_density_on_grid(partial(flows.log_prob, model), grid)
+    learned, history = _learned_toy1d(cfg, cfg["epsilon"], grid)
     tv = oracle.tv_distance(learned, pbar)
     _write_density(out / "learned_density.csv", learned)
     _write_density(out / "oracle_density.csv", pbar)
@@ -281,9 +291,8 @@ def run_clamp_sweep(cfg: dict) -> list[dict]:
     pbar = oracle.positive_difference(p, q, grid)
     p_density = oracle.GridDensity(grid, oracle.density_values(p, oracle.grid_points(grid)))
     results = []
-    for k, eps in enumerate(cfg["epsilons"]):
-        model, _ = _train_toy1d(cfg, eps, cfg["seed"])
-        learned = oracle.model_density_on_grid(partial(flows.log_prob, model), grid)
+    fits = run_tasks([partial(_learned_toy1d, cfg, eps, grid) for eps in cfg["epsilons"]])
+    for k, (eps, (learned, _)) in enumerate(zip(cfg["epsilons"], fits)):
         _write_density(out / f"learned_density_eps{k}.csv", learned)
         results.append({
             "epsilon": eps,
@@ -299,15 +308,11 @@ def run_toy2d(cfg: dict) -> dict:
     seed = cfg["seed"]
     inl = datasets.gen_gaussian(cfg["inlier_mean"], 1.0, cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive_mean"], 1.0, cfg["n_contrastive"], seed=seed + 22)
-    fc = FlowConfig(**cfg["model"])
-
-    cf = flows.build_model(2, fc, seed)
-    training.train(cf, inl, con, _train_config(cfg, clamp_tau=-cfg["epsilon"],
-                                               seed=seed, objective="contrastive"))
-    flow_in = flows.build_model(2, fc, seed + 1)
-    training.train(flow_in, inl, None, _train_config(cfg, seed=seed + 1, objective="nll"))
-    flow_contr = flows.build_model(2, fc, seed + 2)
-    training.train(flow_contr, con, None, _train_config(cfg, seed=seed + 2, objective="nll"))
+    (cf, _), (flow_in, _), (flow_contr, _) = run_tasks([
+        partial(_fit_flow, cfg, seed, inl, con, clamp_tau=-cfg["epsilon"],
+                objective="contrastive"),
+        partial(_fit_flow, cfg, seed + 1, inl, objective="nll"),
+        partial(_fit_flow, cfg, seed + 2, con, objective="nll")])
 
     grid = oracle.grid_2d(cfg["grid"]["lo"], cfg["grid"]["hi"], cfg["grid"]["n"])
     # exponential of the in-distribution score (= exp(log p) for the CF model,
@@ -317,12 +322,9 @@ def run_toy2d(cfg: dict) -> dict:
     _write_density(out / "ratio_grid.csv", oracle.model_density_on_grid(
         lambda x: -baselines.ratio_score(flow_in, flow_contr, x), grid))
 
-    n_scatter = cfg["n_scatter"]
-    rows = []
-    for label, fs in (("inlier", inl), ("contrastive", con)):
-        for row in fs.data[:n_scatter]:
-            rows.append((row[0], row[1], label))
-    _write_csv(out / "samples.csv", ["x", "y", "label"], rows)
+    _write_csv(out / "samples.csv", ["x", "y", "label"],
+               [(x, y, label) for label, fs in (("inlier", inl), ("contrastive", con))
+                for x, y in fs.data[:cfg["n_scatter"]]])
 
     corner = np.array([[-5.0, -5.0]])
     center = np.array([[cfg["inlier_mean"][0], cfg["inlier_mean"][1]]])
@@ -379,11 +381,6 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
     base_tc = _train_config(cfg, objective="contrastive")
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
 
-    # every mixture is checked before the first fit and mixed when reached
-    specs = [[datasets.MixSpec(bench.broad_pool, contaminant, mu, cfg["contrastive_total"],
-                               seed=cfg["seed"] + rep + 7000) for rep in range(reps)]
-             for mu in cfg["mu_grid"]]
-
     def aurocs(m, contr, rep):
         score = fit_method(m, bench.inlier_train, contr, base_tc, cfg["seed"] + rep, fc,
                            val_contrastive=bench.broad_val)
@@ -391,27 +388,31 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
         return (metrics.auroc(s_in, score(bench.hard_test.data)),
                 metrics.auroc(s_in, score(bench.rest_test.data)))
 
-    # a method that reads no contrastive set has the same AUROCs at every mu
-    fixed = {m: [aurocs(m, None, rep) for rep in range(reps)]
-             for m in methods if m not in CONTRASTIVE_METHODS}
+    # one task per fit, keyed by (method, mu index, rep); a method that reads no
+    # contrastive set has the same AUROCs at every mu: one fit per rep, first,
+    # under mu index None.  Every mixture is made, so checked, before any fit
+    contrastive = [m for m in methods if m in CONTRASTIVE_METHODS]
+    tasks = {(m, None, rep): partial(aurocs, m, None, rep)
+             for m in methods if m not in contrastive for rep in range(reps)}
+    for j, mu in enumerate(cfg["mu_grid"]):
+        for rep in range(reps):
+            contr = datasets.mix_datasets(datasets.MixSpec(
+                bench.broad_pool, contaminant, mu, cfg["contrastive_total"],
+                seed=cfg["seed"] + rep + 7000))
+            tasks.update({(m, j, rep): partial(aurocs, m, contr, rep) for m in contrastive})
+    fitted = dict(zip(tasks, run_tasks(list(tasks.values()))))
     rows = []
-    table = []
-    for mu, mu_specs in zip(cfg["mu_grid"], specs):
-        per_method = {m: [] for m in methods if m not in fixed}
-        for rep, spec in enumerate(mu_specs):
-            contr = datasets.mix_datasets(spec)
-            for m in per_method:
-                per_method[m].append(aurocs(m, contr, rep))
-        per_method.update(fixed)
+    for j, mu in enumerate(cfg["mu_grid"]):
         for m in methods:
-            vals = np.array(per_method[m])
+            vals = np.array([fitted[m, j if m in contrastive else None, rep]
+                             for rep in range(reps)])
             hard_mean = 100.0 * float(vals[:, 0].mean())
             rest_mean = 100.0 * float(vals[:, 1].mean())
             sd = 100.0 * float(vals[:, 0].std())
-            table.append((m, mu, hard_mean, rest_mean, sd))
             rows.append({"method": m, "mu": mu, "auroc_hard": hard_mean,
                          "auroc_rest": rest_mean, "sd": sd})
-    _write_csv(out / "mu_sweep.csv", ["method", "mu", "auroc_hard", "auroc_rest", "sd"], table)
+    _write_csv(out / "mu_sweep.csv", ["method", "mu", "auroc_hard", "auroc_rest", "sd"],
+               (row.values() for row in rows))
     _write_json(out / "mu_sweep.json", {"variant": variant, "rows": rows})
     return rows
 
@@ -447,14 +448,15 @@ def run_tabular(cfg: dict) -> dict:
     contrastive = datasets.permute_marginals(train_in, seed + 33)
     fc = FlowConfig(**cfg["model"])
     tc = _train_config(cfg, objective="contrastive")
-    report = {}
-    for m in cfg["methods"]:
+
+    def score_report(m):
         score = fit_method(m, train_in, contrastive, tc, seed, fc)
-        s_in = score(test_in.data)
-        s_out = score(outliers.data)
-        sr = metrics.ScoreReport(m, s_in, s_out)
-        _write_json(out / f"scores_{m}.json", sr.to_json_dict())
-        report[m] = {"auroc": sr.auroc, "auroc_pct": 100.0 * sr.auroc}
+        return metrics.ScoreReport(m, score(test_in.data), score(outliers.data))
+
+    report = {}
+    for sr in run_tasks([partial(score_report, m) for m in cfg["methods"]]):
+        _write_json(out / f"scores_{sr.method}.json", sr.to_json_dict())
+        report[sr.method] = {"auroc": sr.auroc, "auroc_pct": 100.0 * sr.auroc}
     _write_json(out / "tabular_report.json", report)
     return report
 
@@ -472,10 +474,7 @@ def run_train(cfg: dict) -> dict:
         contr = datasets.load_features(cfg["contrastive_path"])
         if contr.dim != inl.dim:
             raise ConfigError(f"contrastive dim {contr.dim} != data dim {inl.dim}")
-    objective = cfg["objective"]
-    tc = _train_config(cfg, seed=cfg["seed"], objective=objective)
-    model = flows.build_model(inl.dim, FlowConfig(**cfg["model"]), cfg["seed"])
-    model, history = training.train(model, inl, contr, tc)
+    model, history = _fit_flow(cfg, cfg["seed"], inl, contr, objective=cfg["objective"])
     flows.save_model(model, out / cfg["model_out"])
     _write_json(out / cfg["history_out"], history.to_json_dict())
     return {"model": str(out / cfg["model_out"]), "epochs": len(history.train_loss),
@@ -491,7 +490,6 @@ def run_score(cfg: dict) -> dict:
     if fs.dim != model.dim:
         raise ConfigError(f"feature dim {fs.dim} != model dim {model.dim}")
     scores = metrics.outlier_score(model, fs.data)
-    rows = []
     if fs.labels is not None:
         header = ["score", "label"]
         rows = [(float(s), int(l)) for s, l in zip(scores, fs.labels)]

@@ -3,8 +3,9 @@
 Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache, an in-place Adam step over a
-ParamStore that reads a gradient laid out like its parameters, and the
-thread count of the BLAS that runs the matmuls.
+ParamStore that reads a gradient laid out like its parameters, the
+thread count of the BLAS that runs the matmuls, and run_tasks, which runs
+the row blocks of a flow pass or the fits of an experiment on workers.
 
 The forward pass computes each layer in place in its matmul output, in
 caller-given arrays if there are any, and the cache keeps those outputs.
@@ -30,7 +31,8 @@ import functools
 import math
 import numbers
 import threading
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,33 @@ def single_blas_thread():
             yield
         finally:
             put(saved)
+
+
+def run_tasks(tasks: Sequence[Callable[[], object]], workers: int = 1) -> list:
+    """Run each task, a callable of no arguments, and return the results
+    in task order.  Task i runs on worker i mod W, W = min(workers, number
+    of tasks), so a caller may keep state per worker by that index; the
+    calling thread is worker 0, and BLAS runs at one thread while W > 1.
+    A worker stops at its first failing task, and once every worker has
+    stopped, the exception of the lowest-index failing task is raised."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [task() for task in tasks]
+    results: list = [None] * len(tasks)
+
+    def work(k: int):
+        for i in range(k, len(tasks), workers):
+            try:
+                results[i] = tasks[i]()
+            except Exception as exc:
+                return i, exc
+
+    with single_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, k) for k in range(1, workers)]
+        failed = [item for item in (work(0), *(f.result() for f in futures)) if item]
+    if failed:
+        raise min(failed)[1]  # task indices differ, so no two exceptions are compared
+    return results
 
 
 def as_batch(x, cols: int | None = None) -> Array:

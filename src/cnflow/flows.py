@@ -14,15 +14,15 @@ log_prob includes the -D/2 * log(2 pi) normalizing constant, so quadrature
 of exp(log_prob) over a covering grid is a meaningful normalization check.
 
 The forward-only maps (forward_latent, log_prob, inverse, sample) run in
-consecutive blocks of _BLOCK_ROWS rows, shared out among as many workers
-as BLAS has threads, each worker with BLAS at one thread.  Each worker
-allocates one workspace, sized to the largest block, and every coupling
-block of every row block it runs computes in place in it: the working
-memory is that of one block per worker whatever the batch size, and a
-block allocates only its per-row log-scale sums and the mask of its
-finiteness check.  Every step treats rows independently, and BLAS
-computes each output row of a matmul the same way whatever the other rows
-are as long as it keeps to one kernel, so the result is bitwise that of
+consecutive blocks of _BLOCK_ROWS rows, the tasks of diffcore.run_tasks
+on as many workers as BLAS has threads.  Every coupling block of every
+row block a worker runs computes in place in the worker's one workspace,
+allocated per call and sized to the largest block: the working memory is
+that of one block per worker whatever the batch size, and a block
+allocates only its per-row log-scale sums and the mask of its finiteness
+check.  Every step treats rows independently, and BLAS computes each
+output row of a matmul the same way whatever the other rows are as long
+as it keeps to one kernel, so the result is bitwise that of
 one whole-batch pass unless BLAS picks a different kernel for a block's
 smaller matmuls than for the whole batch's.  OpenBLAS splits a matmul's
 rows and columns among its threads but never the inner sum, so the
@@ -48,14 +48,14 @@ import os
 import struct
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
                        blas_threads, init_mlp_params, mlp_backward, mlp_forward, require_ints,
-                       require_positive_reals, single_blas_thread)
+                       require_positive_reals, run_tasks)
 from .errors import DimensionError, FormatError, NumericError
 
 Array = np.ndarray
@@ -291,46 +291,19 @@ def _nll_rows(model: FlowModel, x: Array, nll: Array, ws: Workspace) -> None:
 
 def _by_row_blocks(model: FlowModel, x: Array, step, *outs: Array) -> None:
     """Run the row-wise map step(model, rows, *out_rows, workspace) on
-    consecutive blocks of _BLOCK_ROWS rows of x, writing each block's rows
-    of the outputs.
-
-    Worker k of W runs blocks k, k + W, k + 2W, ... in a workspace of its
-    own, where W is the number of blocks or the BLAS thread count, whichever
-    is smaller.  The calling thread is worker 0, and BLAS runs at one
-    thread while there are more.  If blocks raise, the exception of the
-    first of them is raised once every worker has stopped."""
+    consecutive blocks of _BLOCK_ROWS rows of x, one run_tasks task each on
+    as many workers as BLAS has threads, writing each block's output rows."""
     n = x.shape[0]
     # the last block takes the remainder, so a block is shorter than
     # _BLOCK_ROWS only when the batch is: BLAS may use another kernel, with
     # another summation order, for a matmul of a few rows
     edges = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
-    n_blocks = len(edges) - 1
-    rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
-    n_workers = 1 if n_blocks == 1 else min(n_blocks, blas_threads())
-    at = [0] * n_workers  # the block each worker runs or stopped at
-
-    def work(k: int) -> None:
-        ws = Workspace(model, rows)
-        for i in range(k, n_blocks, n_workers):
-            at[k] = i
-            lo, hi = edges[i], edges[i + 1]
-            step(model, x[lo:hi], *(out[lo:hi] for out in outs), ws)
-
-    if n_workers == 1:
-        work(0)
-        return
-    failed = []
-    with single_blas_thread(), ThreadPoolExecutor(n_workers - 1) as pool:
-        futures = {k: pool.submit(work, k) for k in range(1, n_workers)}
-        try:
-            work(0)
-        except Exception as exc:
-            failed.append((at[0], exc))
-    for k, future in futures.items():
-        if future.exception() is not None:
-            failed.append((at[k], future.exception()))
-    if failed:
-        raise min(failed, key=lambda item: item[0])[1]
+    spans = list(zip(edges, edges[1:]))
+    workers = min(len(spans), blas_threads())
+    # block i runs on worker i mod workers, in that worker's workspace
+    spaces = [Workspace(model, max(hi - lo for lo, hi in spans)) for _ in range(workers)]
+    run_tasks([partial(step, model, x[lo:hi], *(out[lo:hi] for out in outs), spaces[i % workers])
+               for i, (lo, hi) in enumerate(spans)], workers)
 
 
 def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:

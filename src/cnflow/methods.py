@@ -5,12 +5,14 @@ driver built on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import baselines
 from .datasets import split
+from .diffcore import run_tasks
 from .errors import ConfigError, DegenerateDataError
 from .flows import FlowConfig, build_model
 from .metrics import auroc, outlier_score
@@ -73,19 +75,17 @@ class OneVsRestResult:
 def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
                 root_seed: int = 0, test_fraction: float = 0.2,
                 flow_config=None) -> OneVsRestResult:
-    """Train/fit once per inlier class and report the AUROC against each
-    other class plus the row mean."""
+    """Train/fit once per inlier class, one run_tasks task each, and report
+    the AUROC against each other class plus the row mean."""
     if len(class_sets) < 2:
         raise DegenerateDataError("one_vs_rest needs at least 2 classes")
-    k = len(class_sets)
-    matrix = np.zeros((k, k - 1))
-    means = np.zeros(k)
-    for i, inlier in enumerate(class_sets):
+
+    def matrix_row(i: int) -> list[float]:
         seed = root_seed + i
-        train_part, test_part = split(inlier, (1.0 - test_fraction, test_fraction), seed)
+        train_part, test_part = split(class_sets[i], (1.0 - test_fraction, test_fraction), seed)
         score = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
         s_in = score(test_part.data)
-        others = [other for j, other in enumerate(class_sets) if j != i]
-        matrix[i] = [auroc(s_in, score(other.data)) for other in others]
-        means[i] = matrix[i].mean()
-    return OneVsRestResult(matrix, means)
+        return [auroc(s_in, score(other.data)) for j, other in enumerate(class_sets) if j != i]
+
+    matrix = np.array(run_tasks([partial(matrix_row, i) for i in range(len(class_sets))]))
+    return OneVsRestResult(matrix, matrix.mean(axis=1))

@@ -620,6 +620,49 @@ def test_mu_sweep_fits_a_method_without_contrastive_set_once_per_rep(tmp_path, m
         "nll_flow": reps, "mse": reps, "mse_ratio": reps * n_mu, "cf": reps * n_mu}
 
 
+def test_mu_sweep_hands_run_tasks_one_fit_per_task_in_the_sweep_order(tmp_path, monkeypatch):
+    # one task list, one fit per task, in the order: each method without a
+    # contrastive set once per rep, then per mu, per rep (one mixture each),
+    # per method; the seed is the rep, as the root seed is 0
+    mixes, fits, task_counts = [], [], []
+    mix, fit_method, run_tasks = datasets.mix_datasets, cli.fit_method, cli.run_tasks
+
+    def recording_mix(spec):
+        mixes.append(mix(spec))
+        return mixes[-1]
+
+    def recording_fit(name, train_in, contrastive, cfg, seed, *args, **kwargs):
+        mixture = (None if contrastive is None
+                   else next(k for k, m in enumerate(mixes) if m is contrastive))
+        fits.append((name, seed, mixture))
+        return fit_method(name, train_in, contrastive, cfg, seed, *args, **kwargs)
+
+    def one_fit(task):
+        def run():
+            before = len(fits)
+            result = task()
+            assert len(fits) == before + 1, "a task ran other than one fit"
+            return result
+        return run
+
+    def recording_run(tasks, *args, **kwargs):
+        task_counts.append(len(tasks))
+        return run_tasks([one_fit(task) for task in tasks], *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "mix_datasets", recording_mix)
+    monkeypatch.setattr(cli, "fit_method", recording_fit)
+    monkeypatch.setattr(cli, "run_tasks", recording_run)
+    assert run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                    str(_write_cfg(tmp_path, SMALL_SWEEP))]) == 0
+    reps, n_mu = SMALL_SWEEP["reps"], len(SMALL_SWEEP["mu_grid"])
+    expected = [(m, rep, None) for m in ("nll_flow", "mse") for rep in range(reps)]
+    expected += [(m, rep, j * reps + rep) for j in range(n_mu) for rep in range(reps)
+                 for m in ("mse_ratio", "cf")]
+    assert fits == expected
+    assert len(mixes) == n_mu * reps
+    assert task_counts == [len(expected)]
+
+
 def test_mu_sweep_checks_every_mu_before_any_fit(tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a method was fitted before every mu was checked")

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -398,3 +402,87 @@ def test_as_batch_promotes_vectors():
     assert out.shape == (1, 2)
     with pytest.raises(DimensionError):
         as_batch(np.zeros((2, 2, 2)))
+
+
+# --- run_tasks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("workers, n_tasks", [(1, 7), (2, 7), (3, 7), (4, 7), (4, 2)])
+def test_run_tasks_returns_results_in_task_order_from_worker_i_mod_w(workers, n_tasks):
+    # the later a task, the sooner it ends, so tasks end out of order
+    threads = {}
+
+    def task(i):
+        threads[i] = threading.get_ident()
+        time.sleep(0.003 * (n_tasks - i))
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = diffcore.run_tasks([partial(task, i) for i in range(n_tasks)], workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(n_tasks)]
+    # task i ran on worker i mod W, and worker 0 is the calling thread
+    w = min(workers, n_tasks)
+    for i in range(n_tasks):
+        assert threads[i] == threads[i % w]
+        assert (threads[i] == threading.get_ident()) == (i % w == 0)
+
+
+def test_one_worker_runs_every_task_in_the_calling_thread_and_leaves_blas_alone():
+    blas = diffcore.blas_threads()
+    seen = []
+
+    def task(i):
+        seen.append((threading.get_ident(), diffcore.blas_threads(),
+                     diffcore._BLAS_LOCK.locked()))
+        return i
+
+    assert diffcore.run_tasks([partial(task, i) for i in range(3)]) == [0, 1, 2]
+    assert seen == [(threading.get_ident(), blas, False)] * 3
+    assert diffcore.run_tasks([]) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_run_tasks_raises_the_lowest_failing_task_once_every_worker_stopped(workers):
+    # tasks 1, 2 and 4 of 6 fail, and task 1 fails last in time; a task that
+    # succeeds finishes late, so a raise before its worker stopped shows
+    failing = (1, 2, 4)
+    ran, finished = [], []
+
+    def task(i):
+        ran.append(i)
+        if i == 1:
+            time.sleep(0.05)
+        if i in failing:
+            raise ValueError(f"task {i}")
+        time.sleep(0.02)
+        finished.append(i)
+
+    with pytest.raises(ValueError, match="^task 1$"):
+        diffcore.run_tasks([partial(task, i) for i in range(6)], workers)
+    # each worker ran its tasks up to its first failure, and no further
+    expected = []
+    for k in range(workers):
+        for i in range(k, 6, workers):
+            expected.append(i)
+            if i in failing:
+                break
+    assert sorted(ran) == sorted(expected)
+    assert sorted(finished) == [i for i in sorted(expected) if i not in failing]
+
+
+def test_run_tasks_restores_the_blas_thread_count_after_a_raise():
+    blas = diffcore.blas_threads()
+    seen = []
+
+    def task(i):
+        seen.append(diffcore.blas_threads())
+        raise RuntimeError(f"task {i}")
+
+    with pytest.raises(RuntimeError, match="^task 0$"):
+        diffcore.run_tasks([partial(task, i) for i in range(4)], 2)
+    assert seen == [1, 1]
+    assert diffcore.blas_threads() == blas
+    assert not diffcore._BLAS_LOCK.locked()

@@ -10,6 +10,9 @@ a deliberate output change, and say why in the change log.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,3 +137,31 @@ def test_artifacts_match_golden_digests(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert changed == []
+
+
+# the subprocess gate: BLAS at one thread from the start, so every
+# forward-only pass runs serially and every matmul on one BLAS thread
+ONE_THREAD_GATE = """
+import json, sys
+from pathlib import Path
+from cnflow import diffcore
+import test_golden
+assert diffcore.blas_threads() == 1, diffcore.blas_threads()
+expected = json.loads(test_golden.DIGESTS.read_text())
+got = test_golden.artifact_digests(Path(sys.argv[1]))
+assert sorted(got) == sorted(expected), sorted(set(got) ^ set(expected))
+changed = [name for name in expected if got[name] != expected[name]]
+assert changed == [], changed
+"""
+
+
+def test_artifacts_match_golden_digests_at_one_blas_thread(tmp_path):
+    # the gate above runs at the default BLAS thread count; the artifacts
+    # must not depend on it
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", ONE_THREAD_GATE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

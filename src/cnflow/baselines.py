@@ -36,11 +36,8 @@ class MseModel:
 
 
 def fit_mse(train_in, train_contr=None) -> MseModel:
-    data_in = getattr(train_in, "data", train_in)
-    mean_contr = None
-    if train_contr is not None:
-        mean_contr = np.asarray(getattr(train_contr, "data", train_contr)).mean(axis=0)
-    return MseModel(np.asarray(data_in).mean(axis=0), mean_contr)
+    mean_contr = None if train_contr is None else as_batch(train_contr).mean(axis=0)
+    return MseModel(as_batch(train_in).mean(axis=0), mean_contr)
 
 
 def mse_score(model: MseModel, x) -> Array:
@@ -63,5 +60,4 @@ def ratio_score(flow_in: FlowModel, flow_contr: FlowModel, x) -> Array:
     """log p_contr(x) - log p_in(x); higher = more outlier."""
     if flow_in.dim != flow_contr.dim:
         raise DimensionError("ratio flows disagree on dimension")
-    x = as_batch(x, flow_in.dim)
     return log_prob(flow_contr, x) - log_prob(flow_in, x)

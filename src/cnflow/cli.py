@@ -225,22 +225,10 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_density(path: Path, gd: oracle.GridDensity) -> None:
     header = ["x", "y"][:gd.ndim] + ["density"]
-    _write_csv(path, header, np.column_stack([oracle.grid_points(gd.axes), gd.values.ravel()]))
+    datasets.write_csv(path, header,
+                       np.column_stack([oracle.grid_points(gd.axes), gd.values.ravel()]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +310,9 @@ def run_toy2d(cfg: dict) -> dict:
     _write_density(out / "ratio_grid.csv", oracle.model_density_on_grid(
         lambda x: -baselines.ratio_score(flow_in, flow_contr, x), grid))
 
-    _write_csv(out / "samples.csv", ["x", "y", "label"],
-               [(x, y, label) for label, fs in (("inlier", inl), ("contrastive", con))
-                for x, y in fs.data[:cfg["n_scatter"]]])
+    datasets.write_csv(out / "samples.csv", ["x", "y", "label"],
+                       [(x, y, label) for label, fs in (("inlier", inl), ("contrastive", con))
+                        for x, y in fs.data[:cfg["n_scatter"]]])
 
     corner = np.array([[-5.0, -5.0]])
     center = np.array([[cfg["inlier_mean"][0], cfg["inlier_mean"][1]]])
@@ -411,8 +399,8 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
             sd = 100.0 * float(vals[:, 0].std())
             rows.append({"method": m, "mu": mu, "auroc_hard": hard_mean,
                          "auroc_rest": rest_mean, "sd": sd})
-    _write_csv(out / "mu_sweep.csv", ["method", "mu", "auroc_hard", "auroc_rest", "sd"],
-               (row.values() for row in rows))
+    datasets.write_csv(out / "mu_sweep.csv", ["method", "mu", "auroc_hard", "auroc_rest", "sd"],
+                       (row.values() for row in rows))
     _write_json(out / "mu_sweep.json", {"variant": variant, "rows": rows})
     return rows
 
@@ -496,7 +484,7 @@ def run_score(cfg: dict) -> dict:
     else:
         header = ["score"]
         rows = [(float(s),) for s in scores]
-    _write_csv(out / cfg["scores_out"], header, rows)
+    datasets.write_csv(out / cfg["scores_out"], header, rows)
     return {"n": fs.n, "scores": str(out / cfg["scores_out"])}
 
 
@@ -528,9 +516,9 @@ def run_eval(cfg: dict) -> dict:
         b, _ = _read_score_file(cfg["paired_b"])
         result["wilcoxon_p"] = metrics.wilcoxon_signed_rank(a, b)
     _write_json(out / cfg["report_out"], result)
-    _write_csv(out / cfg["roc_out"], ["fpr", "tpr"], sr.roc)
-    _write_csv(out / cfg["hist_out"], ["edge", "count_in", "count_out"],
-               zip(sr.hist_edges, sr.hist_inlier, sr.hist_outlier))
+    datasets.write_csv(out / cfg["roc_out"], ["fpr", "tpr"], sr.roc)
+    datasets.write_csv(out / cfg["hist_out"], ["edge", "count_in", "count_out"],
+                       zip(sr.hist_edges, sr.hist_inlier, sr.hist_outlier))
     return result
 
 
@@ -567,8 +555,8 @@ def run_report(cfg: dict) -> dict:
             cells = [f"{100.0 * v:.2f}" for v in result.matrix[i]]
             cells.insert(i, "")  # no AUROC of a class against itself
             rows.append([name, *cells, f"{100.0 * result.row_means[i]:.2f}"])
-        _write_csv(out / f"confusion_{m}.csv",
-                   ["inlier", *(f"vs_{n}" for n in names), "mean"], rows)
+        datasets.write_csv(out / f"confusion_{m}.csv",
+                           ["inlier", *(f"vs_{n}" for n in names), "mean"], rows)
         per_method_means[m] = result.row_means
         summary[m] = {
             "row_means_pct": [100.0 * v for v in result.row_means],

@@ -172,16 +172,21 @@ def save_features(fs: FeatureSet, path, format: str | None = None) -> None:
             if fs.labels is not None:
                 fh.write(fs.labels.astype(np.uint8).tobytes())
     else:
-        with open(path, "w") as fh:
-            cols = [f"f{j}" for j in range(fs.dim)]
-            if fs.labels is not None:
-                cols.append("label")
-            fh.write(",".join(cols) + "\n")
-            for i in range(fs.n):
-                row = ",".join(f"{v:.17g}" for v in fs.data[i])
-                if fs.labels is not None:
-                    row += f",{int(fs.labels[i])}"
-                fh.write(row + "\n")
+        header, rows = [f"f{j}" for j in range(fs.dim)], fs.data
+        if fs.labels is not None:
+            header.append("label")
+            rows = ((*row, int(label)) for row, label in zip(fs.data, fs.labels))
+        write_csv(path, header, rows)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header line, then a line per row: a float (numpy's too)
+    with 17 significant digits, enough to read back the same float, and
+    any other value as str gives it."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def load_features(path, format: str | None = None) -> FeatureSet:

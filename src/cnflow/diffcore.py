@@ -1,6 +1,6 @@
 """Dense numeric core with hand-written reverse-mode gradients.
 
-Batches are plain 2-D C-contiguous float64 numpy arrays (rows = samples).
+A batch (rows = samples) is what as_batch makes of any library input.
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache, an in-place Adam step over a
 ParamStore that reads a gradient laid out like its parameters, the
@@ -144,7 +144,13 @@ def run_tasks(tasks: Sequence[Callable[[], object]], workers: int = 1) -> list:
 
 
 def as_batch(x, cols: int | None = None) -> Array:
-    """Coerce to a 2-D float64 array, optionally checking the column count."""
+    """x as a 2-D C-contiguous float64 batch, x itself if it is one; any
+    non-ndarray with a .data (a FeatureSet) gives that, a 1-D array is one
+    row.  DimensionError for another rank or a column count other than
+    cols; NumericError (exit 1) for a non-finite entry of rows given to a
+    model, which a FeatureSet refuses when made (DegenerateDataError, 2)."""
+    if not isinstance(x, np.ndarray):
+        x = getattr(x, "data", x)
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -152,6 +158,8 @@ def as_batch(x, cols: int | None = None) -> Array:
         raise DimensionError(f"expected a 2-D batch, got ndim={a.ndim}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"expected {cols} columns, got {a.shape[1]}")
+    if not np.isfinite(a).all():
+        raise NumericError("input batch contains non-finite values")
     return a
 
 

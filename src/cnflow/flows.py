@@ -57,10 +57,9 @@ from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_
                        blas_threads, init_mlp_params, mlp_backward, mlp_forward, require_ints,
                        require_positive_reals, run_tasks)
 from .errors import DimensionError, FormatError, NumericError
+from .oracle import LOG_2PI
 
 Array = np.ndarray
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # rows per block of a forward-only pass; at width 512 one hidden activation
 # of a block is 4 MiB.  log_prob of 16384x128 rows under the 8x512 model
@@ -272,15 +271,6 @@ def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: Works
         z_in = z
 
 
-def _checked_batch(model: FlowModel, x) -> Array:
-    """x as a float64 batch; the input is checked as a whole, so a
-    non-finite row fails the same way in any row block."""
-    x = as_batch(x, model.dim)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("input batch contains non-finite values")
-    return x
-
-
 def _nll_rows(model: FlowModel, x: Array, nll: Array, ws: Workspace) -> None:
     """Write the NLL of the rows of x to nll, with their latent in ws."""
     n = x.shape[0]
@@ -308,7 +298,7 @@ def _by_row_blocks(model: FlowModel, x: Array, step, *outs: Array) -> None:
 
 def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
     """z = T^-1(x) and the exact per-sample log |det J| of the map."""
-    x = _checked_batch(model, x)
+    x = as_batch(x, model.dim)
     z, logdet = np.empty_like(x), np.empty(x.shape[0])
     _by_row_blocks(model, x, _forward_pass, z, logdet)
     return z, logdet
@@ -324,7 +314,7 @@ def _finite(nll: Array) -> Array:
 
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
-    x = _checked_batch(model, x)
+    x = as_batch(x, model.dim)
     nll = np.empty(x.shape[0])
     _by_row_blocks(model, x, _nll_rows, nll)
     return -_finite(nll)
@@ -332,7 +322,7 @@ def log_prob(model: FlowModel, x) -> Array:
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
     """x = T(z); with return_logdet also the log |det J| of T at z."""
-    z = _checked_batch(model, z)
+    z = as_batch(z, model.dim)
     x, logdet = np.empty_like(z), np.empty(z.shape[0])
     _by_row_blocks(model, z, _inverse_pass, x, logdet)
     if return_logdet:
@@ -392,7 +382,7 @@ def nll_with_backward(model: FlowModel, x, *,
     The NLL is bitwise that of log_prob whenever log_prob runs the batch
     in one row block, and raises the same error when it is not finite.
     """
-    x = _checked_batch(model, x)
+    x = as_batch(x, model.dim)
     n = x.shape[0]
     ws = Workspace(model, n, cached=True) if workspace is None else workspace
     if ws.rows < n:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import baselines
 from .datasets import split
-from .diffcore import run_tasks
+from .diffcore import as_batch, run_tasks
 from .errors import ConfigError, DegenerateDataError
 from .flows import FlowConfig, build_model
 from .metrics import auroc, outlier_score
@@ -42,7 +42,7 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
         raise ConfigError(f"method {name!r} needs a contrastive set")
     if flow_config is None:
         flow_config = FlowConfig()
-    dim = train_in.data.shape[1]
+    dim = as_batch(train_in).shape[1]
     cfg = replace(cfg, seed=seed)
 
     if name == "mse":

@@ -1,9 +1,9 @@
 """Analytic ground truth for the toy experiments.
 
 Gaussian (and Gaussian-mixture) densities, the normalized positive
-difference between an inlier and a contrastive density, the 1-D support
-of that difference, and trapezoid-quadrature utilities (normalization
-checks, total-variation distance, model densities on grids).
+difference between an inlier and a contrastive density, and
+trapezoid-quadrature utilities (normalization checks, total-variation
+distance, model densities on grids).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .diffcore import as_batch
 from .errors import DimensionError, GridError
 
 Array = np.ndarray
@@ -74,10 +75,7 @@ DensitySpec = Union[GaussianSpec, MixtureSpec]
 
 def gaussian_logpdf(spec: GaussianSpec, x) -> Array:
     """Exact log density at the rows of x."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != spec.dim:
-        raise DimensionError(f"points have dim {x.shape[1]}, spec has dim {spec.dim}")
-    delta = x - spec.mean
+    delta = as_batch(x, spec.dim) - spec.mean
     if spec.is_diagonal:
         quad = np.sum((delta / spec.scale) ** 2, axis=1)
         logdet = 2.0 * np.sum(np.log(spec.scale))
@@ -93,15 +91,11 @@ def density_values(source: DensitySpec, x) -> Array:
     """Pdf values of a Gaussian or weighted Gaussian mixture."""
     if isinstance(source, GaussianSpec):
         return np.exp(gaussian_logpdf(source, x))
-    total = None
+    total = np.zeros(as_batch(x).shape[0])
     for weight, spec in source:
         if weight < 0:
             raise ValueError("mixture weights must be non-negative")
-        term = weight * np.exp(gaussian_logpdf(spec, x))
-        total = term if total is None else total + term
-    if total is None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.zeros(x.shape[0])
+        total += weight * np.exp(gaussian_logpdf(spec, x))
     return total
 
 
@@ -201,36 +195,6 @@ def positive_difference(p: DensitySpec, q: DensitySpec,
     gd = GridDensity(grid, raw)
     c = gd.integral()
     return GridDensity(grid, raw / c)
-
-
-def difference_support_1d(p: GaussianSpec, q: GaussianSpec) -> list[tuple[float, float]]:
-    """Intervals where p > q for two 1-D Gaussians, from the closed-form
-    quadratic obtained by equating log densities."""
-    if p.dim != 1 or q.dim != 1:
-        raise DimensionError("difference_support_1d needs 1-D Gaussians")
-    m1, s1 = float(p.mean[0]), float(p.scale[0] if p.is_diagonal else math.sqrt(p.scale[0, 0]))
-    m2, s2 = float(q.mean[0]), float(q.scale[0] if q.is_diagonal else math.sqrt(q.scale[0, 0]))
-    if m1 == m2 and s1 == s2:
-        raise ValueError("identical Gaussians: support of p > q is undefined")
-    # log p - log q = a x^2 + b x + c
-    a = 0.5 / s2 ** 2 - 0.5 / s1 ** 2
-    b = m1 / s1 ** 2 - m2 / s2 ** 2
-    c = 0.5 * m2 ** 2 / s2 ** 2 - 0.5 * m1 ** 2 / s1 ** 2 + math.log(s2 / s1)
-    if a == 0.0:
-        # equal variances: single crossing at the weighted midpoint
-        x0 = -c / b
-        return [(-math.inf, x0)] if b < 0 else [(x0, math.inf)]
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        raise ValueError("log-density quadratic has no real crossing; check the specs")
-    r1 = (-b - math.sqrt(disc)) / (2.0 * a)
-    r2 = (-b + math.sqrt(disc)) / (2.0 * a)
-    lo, hi = min(r1, r2), max(r1, r2)
-    if a < 0.0:
-        # q has the heavier tails: p wins between the roots
-        return [(lo, hi)]
-    # p has the heavier tails: p wins outside the roots
-    return [(-math.inf, lo), (hi, math.inf)]
 
 
 def tv_distance(a: GridDensity, b: GridDensity) -> float:

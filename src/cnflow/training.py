@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import FlatViews, adam_step, require_ints, require_positive_reals
-from .errors import DegenerateDataError, DimensionError, NumericError
+from .diffcore import FlatViews, adam_step, as_batch, require_ints, require_positive_reals
+from .errors import DegenerateDataError, NumericError
 from .flows import FlowModel, Workspace, log_prob, nll_with_backward, weighted_nll_grad
 
 Array = np.ndarray
@@ -77,15 +77,11 @@ class TrainHistory:
         }
 
 
-def _as_data(x) -> Array:
-    return np.ascontiguousarray(getattr(x, "data", x), dtype=np.float64)
-
-
 def nll_objective(model: FlowModel, batch, *,
                   workspace: Workspace | None = None) -> tuple[float, FlatViews]:
     """Mean NLL and its exact gradients, from a pass in `workspace` (a
     cached flows.Workspace, a new one by default)."""
-    batch = _as_data(batch)
+    batch = as_batch(batch, model.dim)
     if batch.shape[0] == 0:
         raise DegenerateDataError("empty batch")
     n = batch.shape[0]
@@ -111,12 +107,10 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
     inlier batch's backward pass ends before the contrastive batch's
     forward pass starts.
     """
-    pos = _as_data(pos_batch)
-    neg = _as_data(neg_batch)
+    pos = as_batch(pos_batch, model.dim)
+    neg = as_batch(neg_batch, model.dim)
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DegenerateDataError("both batches must be non-empty")
-    if pos.shape[1] != neg.shape[1]:
-        raise DimensionError("batches disagree on dimension")
     n = pos.shape[0]
     nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n), workspace=workspace)
     m = neg.shape[0]
@@ -134,9 +128,8 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
 
 def proxy_auroc(model: FlowModel, inlier_val, contrastive_val) -> float:
     """AUROC of outlier scores with contrastive samples as the outlier class."""
-    s_in = metrics.outlier_score(model, _as_data(inlier_val))
-    s_contr = metrics.outlier_score(model, _as_data(contrastive_val))
-    return metrics.auroc(s_in, s_contr)
+    return metrics.auroc(metrics.outlier_score(model, inlier_val),
+                         metrics.outlier_score(model, contrastive_val))
 
 
 def select_epsilon(nll_flow_model: FlowModel, inlier_val, quantile: float = 0.10,
@@ -144,7 +137,7 @@ def select_epsilon(nll_flow_model: FlowModel, inlier_val, quantile: float = 0.10
     """Clamp threshold from a pretrained NLL flow: epsilon is the given
     quantile of the validation log densities plus the offset, returned as
     the NLL-side threshold tau = -epsilon."""
-    data = _as_data(inlier_val)
+    data = as_batch(inlier_val, nll_flow_model.dim)
     if data.shape[0] == 0:
         raise DegenerateDataError("empty validation set")
     logp = log_prob(nll_flow_model, data)
@@ -174,17 +167,13 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     """
     if cfg is None:
         cfg = TrainConfig()
-    data_in = _as_data(inlier_set)
-    data_c = None if contrastive_set is None else _as_data(contrastive_set)
-    val_c = None if val_contrastive_set is None else _as_data(val_contrastive_set)
+    data_in = as_batch(inlier_set, model.dim)
+    data_c = None if contrastive_set is None else as_batch(contrastive_set, model.dim)
+    val_c = None if val_contrastive_set is None else as_batch(val_contrastive_set, model.dim)
     if data_in.shape[0] == 0:
         raise DegenerateDataError("inlier set is empty")
     if cfg.objective != "nll" and (data_c is None or data_c.shape[0] == 0):
         raise DegenerateDataError(f"objective {cfg.objective!r} needs a non-empty contrastive set")
-    if any(c is not None and c.shape[1] != data_in.shape[1] for c in (data_c, val_c)):
-        raise DimensionError("inlier and contrastive sets disagree on dimension")
-    if data_in.shape[1] != model.dim:
-        raise DimensionError("data dimension != model dimension")
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(6)]
     rng_split_in, rng_split_c, rng_in, rng_c, rng_ft_in, rng_ft_c = streams

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against: a
 central-difference gradient, the trapezoid area under ROC points, the
-contrastive objective in two passes over its contrastive batch and the
-Adam step one parameter at a time; and a ParamStore built from arrays."""
+contrastive objective in two passes over its contrastive batch, the Adam
+step one parameter at a time and the closed-form support of the positive
+difference of two 1-D Gaussians; and a ParamStore built from arrays."""
 
 import math
 from typing import Callable
@@ -9,8 +10,9 @@ from typing import Callable
 import numpy as np
 
 from cnflow.diffcore import ParamStore
-from cnflow.errors import NumericError
+from cnflow.errors import DimensionError, NumericError
 from cnflow.flows import FlowModel, log_prob, weighted_nll_grad
+from cnflow.oracle import GaussianSpec
 
 Array = np.ndarray
 
@@ -105,3 +107,33 @@ def per_name_adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
         a /= b
         p -= a
     store.step = t
+
+
+def difference_support_1d(p: GaussianSpec, q: GaussianSpec) -> list[tuple[float, float]]:
+    """Intervals where p > q for two 1-D Gaussians, from the closed-form
+    quadratic obtained by equating log densities."""
+    if p.dim != 1 or q.dim != 1:
+        raise DimensionError("difference_support_1d needs 1-D Gaussians")
+    m1, s1 = float(p.mean[0]), float(p.scale[0] if p.is_diagonal else math.sqrt(p.scale[0, 0]))
+    m2, s2 = float(q.mean[0]), float(q.scale[0] if q.is_diagonal else math.sqrt(q.scale[0, 0]))
+    if m1 == m2 and s1 == s2:
+        raise ValueError("identical Gaussians: support of p > q is undefined")
+    # log p - log q = a x^2 + b x + c
+    a = 0.5 / s2 ** 2 - 0.5 / s1 ** 2
+    b = m1 / s1 ** 2 - m2 / s2 ** 2
+    c = 0.5 * m2 ** 2 / s2 ** 2 - 0.5 * m1 ** 2 / s1 ** 2 + math.log(s2 / s1)
+    if a == 0.0:
+        # equal variances: single crossing at the weighted midpoint
+        x0 = -c / b
+        return [(-math.inf, x0)] if b < 0 else [(x0, math.inf)]
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        raise ValueError("log-density quadratic has no real crossing; check the specs")
+    r1 = (-b - math.sqrt(disc)) / (2.0 * a)
+    r2 = (-b + math.sqrt(disc)) / (2.0 * a)
+    lo, hi = min(r1, r2), max(r1, r2)
+    if a < 0.0:
+        # q has the heavier tails: p wins between the roots
+        return [(lo, hi)]
+    # p has the heavier tails: p wins outside the roots
+    return [(-math.inf, lo), (hi, math.inf)]

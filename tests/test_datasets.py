@@ -242,6 +242,20 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded.data, fs.data)
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    # 17 significant digits, no shortest-repr rounding; -0.0 keeps its sign
+    data = [[0.1, 1e-05], [-0.0, 1e300], [3.0, -2.5]]
+    save_features(FeatureSet(np.array(data), [0, 2, 1]), tmp_path / "l.csv")
+    assert (tmp_path / "l.csv").read_bytes() == (
+        b"f0,f1,label\n"
+        b"0.10000000000000001,1.0000000000000001e-05,0\n"
+        b"-0,1.0000000000000001e+300,2\n"
+        b"3,-2.5,1\n")
+    save_features(FeatureSet(np.array(data)), tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_bytes() == (
+        b"f0,f1\n0.10000000000000001,1.0000000000000001e-05\n-0,1.0000000000000001e+300\n3,-2.5\n")
+
+
 def test_csv_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1\n1.0,2.0\n3.0\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import cli, flows
+from cnflow import cli, datasets, flows
 from cnflow.errors import DegenerateDataError
 from cnflow.metrics import (ScoreReport, auroc, histogram, outlier_score, roc_curve,
                             wilcoxon_signed_rank)
@@ -258,7 +258,7 @@ def test_score_report_fields(tmp_path):
     path = tmp_path / "report.json"
     cli._write_json(path, report.to_json_dict())
     assert path.exists()
-    cli._write_csv(tmp_path / "roc.csv", ["fpr", "tpr"], report.roc)
+    datasets.write_csv(tmp_path / "roc.csv", ["fpr", "tpr"], report.roc)
     header = (tmp_path / "roc.csv").read_text().splitlines()[0]
     assert header == "fpr,tpr"
 

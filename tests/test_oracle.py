@@ -7,10 +7,10 @@ import scipy.stats
 from cnflow import cli
 from cnflow.errors import DimensionError, GridError
 from cnflow.oracle import (GaussianSpec, GridDensity, default_grid,
-                           density_values, difference_support_1d,
-                           gaussian_logpdf, grid_1d, grid_2d,
+                           density_values, gaussian_logpdf, grid_1d, grid_2d,
                            mixture_invariance_check, positive_difference,
                            tv_distance)
+from helpers import difference_support_1d
 
 P = GaussianSpec([0.0], [1.0])
 Q = GaussianSpec([1.0], [2.0])
@@ -78,6 +78,19 @@ def test_positive_difference_identical_specs_rejected():
 def test_positive_difference_grid_too_small():
     with pytest.raises(GridError):
         positive_difference(P, Q, grid_1d(-0.5, 0.5, 101))
+
+
+def test_positive_difference_is_positive_exactly_on_the_analytic_support():
+    # toy1d's pair on its grid: p > q on one interval, whose closed-form
+    # ends may fall up to one grid step either side of a sign change
+    grid = grid_1d(-6.0, 6.0, 4001)
+    ((lo, hi),) = difference_support_1d(P, Q)
+    x = grid[0]
+    step = x[1] - x[0]
+    positive = positive_difference(P, Q, grid).values > 0.0
+    assert np.all(positive[(x > lo + step) & (x < hi - step)])
+    assert not np.any(positive[(x < lo - step) | (x > hi + step)])
+    assert positive.sum() >= (hi - lo) / step - 2
 
 
 def test_support_endpoints_match_quadratic_roots():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import as_batch
-from .errors import DegenerateDataError, DimensionError
+from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import FlowModel, log_prob
 
 Array = np.ndarray
@@ -23,27 +23,37 @@ class MseModel:
 
     def __post_init__(self):
         self.mean_in = np.asarray(self.mean_in, dtype=np.float64)
-        if not np.all(np.isfinite(self.mean_in)):
-            raise DegenerateDataError("inlier mean is not finite")
         if self.mean_contr is not None:
             self.mean_contr = np.asarray(self.mean_contr, dtype=np.float64)
             if self.mean_contr.shape != self.mean_in.shape:
                 raise DimensionError("contrastive mean dimension mismatch")
+        for which, mean in (("inlier", self.mean_in), ("contrastive", self.mean_contr)):
+            if mean is not None and not np.all(np.isfinite(mean)):
+                raise DegenerateDataError(f"{which} mean is not finite")
 
     @property
     def dim(self) -> int:
         return self.mean_in.shape[0]
 
 
+def _finite(scores: Array) -> Array:
+    """scores, unless a squared distance overflowed (finite but huge rows)."""
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite MSE score")
+    return scores
+
+
 def fit_mse(train_in, train_contr=None) -> MseModel:
-    mean_contr = None if train_contr is None else as_batch(train_contr).mean(axis=0)
-    return MseModel(as_batch(train_in).mean(axis=0), mean_contr)
+    with np.errstate(over="ignore"):  # MseModel refuses a mean that overflows
+        mean_contr = None if train_contr is None else as_batch(train_contr).mean(axis=0)
+        return MseModel(as_batch(train_in).mean(axis=0), mean_contr)
 
 
 def mse_score(model: MseModel, x) -> Array:
     """||x - mean_in||^2 / D; higher = more outlier."""
     x = as_batch(x, model.dim)
-    return np.sum((x - model.mean_in) ** 2, axis=1) / model.dim
+    with np.errstate(over="ignore"):
+        return _finite(np.sum((x - model.mean_in) ** 2, axis=1) / model.dim)
 
 
 def mse_ratio_score(model: MseModel, x) -> Array:
@@ -51,13 +61,12 @@ def mse_ratio_score(model: MseModel, x) -> Array:
     if model.mean_contr is None:
         raise DegenerateDataError("mse_ratio_score needs a contrastive mean")
     x = as_batch(x, model.dim)
-    d_in = np.sum((x - model.mean_in) ** 2, axis=1)
-    d_contr = np.sum((x - model.mean_contr) ** 2, axis=1)
-    return (d_in - d_contr) / model.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_in = np.sum((x - model.mean_in) ** 2, axis=1)
+        d_contr = np.sum((x - model.mean_contr) ** 2, axis=1)
+        return _finite((d_in - d_contr) / model.dim)
 
 
 def ratio_score(flow_in: FlowModel, flow_contr: FlowModel, x) -> Array:
     """log p_contr(x) - log p_in(x); higher = more outlier."""
-    if flow_in.dim != flow_contr.dim:
-        raise DimensionError("ratio flows disagree on dimension")
     return log_prob(flow_contr, x) - log_prob(flow_in, x)

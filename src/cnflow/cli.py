@@ -32,9 +32,9 @@ import numpy as np
 
 from . import baselines, datasets, flows, metrics, oracle, training
 from .diffcore import run_tasks
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .errors import ConfigError, DegenerateDataError, DimensionError, FormatError, NumericError
 from .flows import FlowConfig
-from .methods import CONTRASTIVE_METHODS, check_methods, fit_method, one_vs_rest
+from .methods import CONTRASTIVE_METHODS, check_methods, fit_method
 from .training import TrainConfig
 
 
@@ -199,13 +199,9 @@ def load_config(kind: str, path: str | None, overrides: dict) -> dict:
     return _merge(DEFAULTS[kind], {**user, **{k: v for k, v in overrides.items() if v is not None}})
 
 
-def _train_config(cfg: dict, **extra) -> TrainConfig:
-    return TrainConfig(**{**cfg["train"], **extra})
-
-
 def _fit_flow(cfg: dict, seed: int, inlier_set, contrastive_set=None, **extra):
     """cfg's model built from seed and trained on the sets, and its history."""
-    tc = _train_config(cfg, seed=seed, **extra)
+    tc = TrainConfig(**{**cfg["train"], "seed": seed, **extra})
     model = flows.build_model(inlier_set.dim, FlowConfig(**cfg["model"]), seed)
     return training.train(model, inlier_set, contrastive_set, tc)
 
@@ -217,6 +213,18 @@ def _out_dir(cfg: dict) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _load_features(what: str, paths: list) -> list:
+    """The feature sets of paths (None for a path of None), checked to share
+    one dimension before any fit, which would otherwise fail only when a
+    fitted model first meets the odd file out."""
+    sets = [None if p is None else datasets.load_features(p) for p in paths]
+    loaded = [(p, fs) for p, fs in zip(paths, sets) if fs is not None]
+    if len({fs.dim for _, fs in loaded}) > 1:
+        raise DimensionError(f"{what} feature files disagree on dimension: " + ", ".join(
+            f"{p} has {fs.dim} columns" for p, fs in loaded))
+    return sets
 
 
 def _write_json(path: Path, obj) -> None:
@@ -249,7 +257,7 @@ def _learned_toy1d(cfg: dict, epsilon: float, grid):
                                 cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive"]["mean"], cfg["contrastive"]["sd"],
                                 cfg["n_contrastive"], seed=seed + 22)
-    model, history = _fit_flow(cfg, seed, inl, con, clamp_tau=-epsilon, objective="contrastive")
+    model, history = _fit_flow(cfg, seed, inl, con, clamp_tau=-epsilon)
     return oracle.model_density_on_grid(partial(flows.log_prob, model), grid), history
 
 
@@ -297,8 +305,7 @@ def run_toy2d(cfg: dict) -> dict:
     inl = datasets.gen_gaussian(cfg["inlier_mean"], 1.0, cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive_mean"], 1.0, cfg["n_contrastive"], seed=seed + 22)
     (cf, _), (flow_in, _), (flow_contr, _) = run_tasks([
-        partial(_fit_flow, cfg, seed, inl, con, clamp_tau=-cfg["epsilon"],
-                objective="contrastive"),
+        partial(_fit_flow, cfg, seed, inl, con, clamp_tau=-cfg["epsilon"]),
         partial(_fit_flow, cfg, seed + 1, inl, objective="nll"),
         partial(_fit_flow, cfg, seed + 2, con, objective="nll")])
 
@@ -340,12 +347,7 @@ def _load_bench(cfg: dict) -> datasets.ClusterBenchmark:
     if any(paths.values()):
         if not all(paths.values()):
             raise ConfigError(f"feature-file benchmarks need all of {file_keys}")
-        inl, hard, rest, broad = sets = [datasets.load_features(paths[k]) for k in file_keys]
-        # checked before any fit, which would otherwise fail only when a
-        # fitted model first scores the odd file out
-        if len({fs.dim for fs in sets}) > 1:
-            raise DimensionError("bench feature files disagree on dimension: " + ", ".join(
-                f"{paths[k]} has {fs.dim} columns" for k, fs in zip(file_keys, sets)))
+        inl, hard, rest, broad = _load_features("bench", list(paths.values()))
         inl_train, inl_extra, inl_test = datasets.split(inl, (0.5, 0.3, 0.2), cfg["seed"])
         hard_pool, hard_test = datasets.split(hard, (0.7, 0.3), cfg["seed"] + 1)
         broad_pool, broad_val = datasets.split(broad, (0.85, 0.15), cfg["seed"] + 2)
@@ -366,7 +368,7 @@ def run_mu_sweep(cfg: dict) -> list[dict]:
         raise ConfigError(f"reps must be a positive integer, got {reps!r}")
     bench = _load_bench(cfg)
     fc = FlowConfig(**cfg["model"])
-    base_tc = _train_config(cfg, objective="contrastive")
+    base_tc = TrainConfig(**cfg["train"])
     contaminant = bench.inlier_extra if variant == "contaminated" else bench.hard_pool
 
     def aurocs(m, contr, rep):
@@ -435,7 +437,7 @@ def run_tabular(cfg: dict) -> dict:
                                                  cfg["test_fraction"]), seed)
     contrastive = datasets.permute_marginals(train_in, seed + 33)
     fc = FlowConfig(**cfg["model"])
-    tc = _train_config(cfg, objective="contrastive")
+    tc = TrainConfig(**cfg["train"])
 
     def score_report(m):
         score = fit_method(m, train_in, contrastive, tc, seed, fc)
@@ -456,12 +458,7 @@ def run_train(cfg: dict) -> dict:
     out = _out_dir(cfg)
     if not cfg["data_path"]:
         raise ConfigError("train needs data_path")
-    inl = datasets.load_features(cfg["data_path"])
-    contr = None
-    if cfg["contrastive_path"]:
-        contr = datasets.load_features(cfg["contrastive_path"])
-        if contr.dim != inl.dim:
-            raise ConfigError(f"contrastive dim {contr.dim} != data dim {inl.dim}")
+    inl, contr = _load_features("train", [cfg["data_path"], cfg["contrastive_path"] or None])
     model, history = _fit_flow(cfg, cfg["seed"], inl, contr, objective=cfg["objective"])
     flows.save_model(model, out / cfg["model_out"])
     _write_json(out / cfg["history_out"], history.to_json_dict())
@@ -475,8 +472,6 @@ def run_score(cfg: dict) -> dict:
         raise ConfigError("score needs model_path and data_path")
     model = flows.load_model(cfg["model_path"])
     fs = datasets.load_features(cfg["data_path"])
-    if fs.dim != model.dim:
-        raise ConfigError(f"feature dim {fs.dim} != model dim {model.dim}")
     scores = metrics.outlier_score(model, fs.data)
     if fs.labels is not None:
         header = ["score", "label"]
@@ -524,13 +519,13 @@ def run_eval(cfg: dict) -> dict:
 
 def run_report(cfg: dict) -> dict:
     out = _out_dir(cfg)
-    check_methods(cfg["methods"])
+    methods = cfg["methods"]
+    check_methods(methods)
     seed = cfg["seed"]
     if cfg["class_paths"]:
-        class_sets = [datasets.load_features(p) for p in cfg["class_paths"]]
+        *class_sets, contrastive = _load_features(
+            "report", [*cfg["class_paths"], cfg["contrastive_path"] or None])
         names = [Path(p).stem for p in cfg["class_paths"]]
-        contrastive = (datasets.load_features(cfg["contrastive_path"])
-                       if cfg["contrastive_path"] else None)
     else:
         s = cfg["synthetic"]
         d, k = s["dim"], s["n_classes"]
@@ -543,31 +538,42 @@ def run_report(cfg: dict) -> dict:
         ]
         names = [f"class{i}" for i in range(k)]
         contrastive = datasets.gen_gaussian(np.zeros(d), s["broad_sd"], s["n_broad"], seed + 40)
+    if len(class_sets) < 2:
+        raise DegenerateDataError(f"report needs at least 2 classes, got {len(class_sets)}")
+    fractions = (1.0 - cfg["test_fraction"], cfg["test_fraction"])
     fc = FlowConfig(**cfg["model"])
-    tc = _train_config(cfg, objective="contrastive")
-    summary = {}
-    per_method_means = {}
-    for m in cfg["methods"]:
-        result = one_vs_rest(class_sets, m, tc, contrastive, root_seed=seed,
-                             test_fraction=cfg["test_fraction"], flow_config=fc)
+    tc = TrainConfig(**cfg["train"])
+
+    def matrix_row(m, i):
+        train_part, test_part = datasets.split(class_sets[i], fractions, seed + i)
+        score = fit_method(m, train_part, contrastive, tc, seed + i, fc)
+        s_in = score(test_part.data)
+        return [metrics.auroc(s_in, score(other.data))
+                for j, other in enumerate(class_sets) if j != i]
+
+    # one task per (method, inlier class), so a method named twice is fitted once
+    tasks = {(m, i): partial(matrix_row, m, i) for m in methods for i in range(len(names))}
+    fitted = dict(zip(tasks, run_tasks(list(tasks.values()))))
+    summary, row_means = {}, {}
+    for m in dict.fromkeys(methods):
+        matrix = np.array([fitted[m, i] for i in range(len(names))])
+        row_means[m] = matrix.mean(axis=1)
         rows = []
         for i, name in enumerate(names):
-            cells = [f"{100.0 * v:.2f}" for v in result.matrix[i]]
+            cells = [f"{100.0 * v:.2f}" for v in matrix[i]]
             cells.insert(i, "")  # no AUROC of a class against itself
-            rows.append([name, *cells, f"{100.0 * result.row_means[i]:.2f}"])
+            rows.append([name, *cells, f"{100.0 * row_means[m][i]:.2f}"])
         datasets.write_csv(out / f"confusion_{m}.csv",
                            ["inlier", *(f"vs_{n}" for n in names), "mean"], rows)
-        per_method_means[m] = result.row_means
         summary[m] = {
-            "row_means_pct": [100.0 * v for v in result.row_means],
-            "mean_pct": 100.0 * float(result.row_means.mean()),
+            "row_means_pct": [100.0 * v for v in row_means[m]],
+            "mean_pct": 100.0 * float(row_means[m].mean()),
         }
-    if len(cfg["methods"]) >= 2:
-        a, b = cfg["methods"][0], cfg["methods"][1]
+    if len(methods) >= 2:
+        a, b = methods[0], methods[1]
         summary["wilcoxon"] = {
             "a": a, "b": b,
-            "p_one_sided_a_gt_b": metrics.wilcoxon_signed_rank(
-                per_method_means[a], per_method_means[b]),
+            "p_one_sided_a_gt_b": metrics.wilcoxon_signed_rank(row_means[a], row_means[b]),
         }
     _write_json(out / "report.json", summary)
     return summary

@@ -11,6 +11,7 @@ Label codes: 0 inlier, 1 outlier, 2 contrastive.
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -182,11 +183,12 @@ def save_features(fs: FeatureSet, path, format: str | None = None) -> None:
 def write_csv(path, header: list[str], rows) -> None:
     """Write a header line, then a line per row: a float (numpy's too)
     with 17 significant digits, enough to read back the same float, and
-    any other value as str gives it."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    any other value as str gives it, quoted if it holds a comma, a quote
+    or a line break."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def load_features(path, format: str | None = None) -> FeatureSet:

@@ -1,21 +1,18 @@
 """Fit-and-score dispatch for the method names used across experiments
-(cf, cf_ft, nll_flow, flow_ratio, mse, mse_ratio) and the one-vs-rest
-driver built on it."""
+(cf, cf_ft, nll_flow, flow_ratio, mse, mse_ratio)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from . import baselines
-from .datasets import split
-from .diffcore import as_batch, run_tasks
-from .errors import ConfigError, DegenerateDataError
+from .diffcore import as_batch
+from .errors import ConfigError
 from .flows import FlowConfig, build_model
-from .metrics import auroc, outlier_score
+from .metrics import outlier_score
 from .training import TrainConfig, train
 
 Array = np.ndarray
@@ -64,28 +61,3 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
     train(flow, train_in, contrastive, replace(cfg, objective=FLOW_OBJECTIVES[name]),
           val_contrastive_set=val_contrastive)
     return lambda x: outlier_score(flow, x)
-
-
-@dataclass
-class OneVsRestResult:
-    matrix: Array      # (k, k-1): row = inlier class, columns = other classes in order
-    row_means: Array   # (k,)
-
-
-def one_vs_rest(class_sets, method: str, cfg, contrastive=None,
-                root_seed: int = 0, test_fraction: float = 0.2,
-                flow_config=None) -> OneVsRestResult:
-    """Train/fit once per inlier class, one run_tasks task each, and report
-    the AUROC against each other class plus the row mean."""
-    if len(class_sets) < 2:
-        raise DegenerateDataError("one_vs_rest needs at least 2 classes")
-
-    def matrix_row(i: int) -> list[float]:
-        seed = root_seed + i
-        train_part, test_part = split(class_sets[i], (1.0 - test_fraction, test_fraction), seed)
-        score = fit_method(method, train_part, contrastive, cfg, seed, flow_config)
-        s_in = score(test_part.data)
-        return [auroc(s_in, score(other.data)) for j, other in enumerate(class_sets) if j != i]
-
-    matrix = np.array(run_tasks([partial(matrix_row, i) for i in range(len(class_sets))]))
-    return OneVsRestResult(matrix, matrix.mean(axis=1))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnflow import flows
 from cnflow.baselines import (MseModel, fit_mse, mse_ratio_score, mse_score,
                               ratio_score)
 from cnflow.datasets import gen_gaussian
-from cnflow.errors import DegenerateDataError, DimensionError
+from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 
 
 def test_mse_score_zero_at_mean():
@@ -40,6 +42,37 @@ def test_mse_translation_covariance():
     a = mse_score(MseModel(mean), x)
     b = mse_score(MseModel(mean + shift), x + shift)
     assert np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mse_overflow_raises_without_a_warning():
+    # both once returned a non-finite score, with only a RuntimeWarning
+    with pytest.raises(NumericError):
+        mse_score(fit_mse(np.zeros((2, 1))), [[1e200]])
+    with pytest.raises(NumericError):
+        mse_ratio_score(fit_mse(np.zeros((2, 1)), np.ones((2, 1))), [[1e200]])
+    with pytest.raises(DegenerateDataError, match="contrastive mean"):
+        fit_mse(np.zeros((2, 1)), np.full((2, 1), 1e308))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=4),
+       st.lists(st.tuples(_finite, _finite), min_size=1, max_size=4),
+       st.tuples(_finite, _finite))
+def test_mse_scores_of_finite_rows_are_finite_or_raise(train_in, train_contr, row):
+    try:
+        model = fit_mse(train_in, train_contr)
+    except DegenerateDataError:
+        return
+    for score in (mse_score, mse_ratio_score):
+        try:
+            assert np.all(np.isfinite(score(model, [row])))
+        except NumericError:
+            pass
 
 
 def test_mse_ratio_zero_when_equidistant():

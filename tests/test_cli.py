@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import importlib
 import importlib.util
@@ -248,6 +249,103 @@ def test_unknown_config_key_exit_code_2(tmp_path):
     rc = run_cli(["toy1d", "--out", str(tmp_path), "--config",
                   str(_write_cfg(tmp_path, {"bogus_key": 1}, name="bogus.json"))])
     assert rc == 2
+
+
+def _class_files(tmp_path, class_sets, names=None):
+    """Paths of class feature files holding class_sets, named by names."""
+    paths = [str(tmp_path / f"{name}.cftr")
+             for name in names or (f"class{i}" for i in range(len(class_sets)))]
+    for fs, path in zip(class_sets, paths):
+        save_features(fs, path)
+    return paths
+
+
+def _report(tmp_path, class_paths, names=("mse",)):
+    """report on the class files with the named methods, and its confusion
+    CSVs as csv.reader reads them, keyed by method."""
+    cfg = cli.load_config("report", None, {"out": str(tmp_path / "out"), "seed": 0,
+                                           "class_paths": class_paths, "methods": list(names)})
+    summary = cli.run_report(cfg)
+    tables = {}
+    for m in names:
+        with open(tmp_path / "out" / f"confusion_{m}.csv", newline="") as fh:
+            tables[m] = list(csv.reader(fh))
+    return summary, tables
+
+
+def _auroc_cells(table) -> np.ndarray:
+    """The AUROC cells (percent) of a confusion table, one row per class,
+    without the empty diagonal and the row mean."""
+    return np.array([[float(c) for c in row[1:-1] if c] for row in table[1:]])
+
+
+def test_report_separated_clusters_read_above_95(tmp_path):
+    centers = [[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]]
+    paths = _class_files(tmp_path, [gen_gaussian(c, 0.3, 300, seed=10 + i)
+                                    for i, c in enumerate(centers)])
+    summary, tables = _report(tmp_path, paths)
+    cells = _auroc_cells(tables["mse"])
+    assert cells.shape == (3, 2)
+    assert np.all(cells > 95.0)
+    assert all(v > 95.0 for v in summary["mse"]["row_means_pct"])
+
+
+def test_report_identical_clusters_read_near_chance(tmp_path):
+    paths = _class_files(tmp_path, [gen_gaussian([0.0, 0.0], 1.0, 1500, seed=20 + i)
+                                    for i in range(2)])
+    _, tables = _report(tmp_path, paths)
+    assert np.all(np.abs(_auroc_cells(tables["mse"]) - 50.0) < 5.0)
+
+
+def test_report_of_one_class_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a method was fitted for a report of one class")
+
+    monkeypatch.setattr(cli, "fit_method", no_fit)
+    paths = _class_files(tmp_path, [gen_gaussian([0.0], 1.0, 10, seed=0)])
+    rc = run_cli(["report", "--method", "mse", "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, {"class_paths": paths}))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid input:") and "at least 2 classes" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_report_quotes_a_class_name_that_holds_a_comma(tmp_path):
+    # the unquoted name once gave a row one field more than the header
+    paths = _class_files(tmp_path, [gen_gaussian([2.0 * i, 0.0], 0.5, 100, seed=i)
+                                    for i in range(2)], names=["a,b", "c"])
+    _, tables = _report(tmp_path, paths)
+    table = tables["mse"]
+    assert {len(row) for row in table} == {4}
+    assert table[0][1] == "vs_a,b" and table[1][0] == "a,b"
+
+
+@pytest.mark.parametrize("kind", ["train", "score", "report"])
+def test_feature_files_of_different_dimensions_exit_2_before_any_fit(tmp_path, capsys,
+                                                                     monkeypatch, kind):
+    # train once called this a config error, and report fitted a flow
+    # before the first score failed on the odd file out
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the feature files were checked")
+
+    monkeypatch.setattr(methods, "train", no_fit)
+    monkeypatch.setattr(training, "train", no_fit)
+    d3, d4 = _class_files(tmp_path, [gen_gaussian([0.0] * d, 1.0, 100, seed=d) for d in (3, 4)],
+                          names=["d3", "d4"])
+    flows.save_model(flows.init_model(4, n_blocks=2, hidden_width=4, seed=0), tmp_path / "m4.cflw")
+    payload = {"train": {"data_path": d3, "contrastive_path": d4},
+               "score": {"model_path": str(tmp_path / "m4.cflw"), "data_path": d3},
+               "report": {"class_paths": [d3, d4], "contrastive_path": d3,
+                          "methods": ["cf"]}}[kind]
+    rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, payload))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid input:")
+    assert len(err.strip().splitlines()) == 1
+    if kind != "score":
+        assert f"{d3} has 3 columns, {d4} has 4 columns" in err
 
 
 def test_report_one_vs_rest_synthetic(tmp_path):
@@ -620,21 +718,15 @@ def test_mu_sweep_fits_a_method_without_contrastive_set_once_per_rep(tmp_path, m
         "nll_flow": reps, "mse": reps, "mse_ratio": reps * n_mu, "cf": reps * n_mu}
 
 
-def test_mu_sweep_hands_run_tasks_one_fit_per_task_in_the_sweep_order(tmp_path, monkeypatch):
-    # one task list, one fit per task, in the order: each method without a
-    # contrastive set once per rep, then per mu, per rep (one mixture each),
-    # per method; the seed is the rep, as the root seed is 0
-    mixes, fits, task_counts = [], [], []
-    mix, fit_method, run_tasks = datasets.mix_datasets, cli.fit_method, cli.run_tasks
-
-    def recording_mix(spec):
-        mixes.append(mix(spec))
-        return mixes[-1]
+def _record_fit_tasks(monkeypatch, fit_key):
+    """Patch cli so that each fit appends fit_key(name, contrastive, seed) to
+    the returned fits, each run_tasks call appends its task count to the
+    returned counts, and a task that runs other than one fit fails."""
+    fits, task_counts = [], []
+    fit_method, run_tasks = cli.fit_method, cli.run_tasks
 
     def recording_fit(name, train_in, contrastive, cfg, seed, *args, **kwargs):
-        mixture = (None if contrastive is None
-                   else next(k for k, m in enumerate(mixes) if m is contrastive))
-        fits.append((name, seed, mixture))
+        fits.append(fit_key(name, contrastive, seed))
         return fit_method(name, train_in, contrastive, cfg, seed, *args, **kwargs)
 
     def one_fit(task):
@@ -649,9 +741,28 @@ def test_mu_sweep_hands_run_tasks_one_fit_per_task_in_the_sweep_order(tmp_path, 
         task_counts.append(len(tasks))
         return run_tasks([one_fit(task) for task in tasks], *args, **kwargs)
 
-    monkeypatch.setattr(datasets, "mix_datasets", recording_mix)
     monkeypatch.setattr(cli, "fit_method", recording_fit)
     monkeypatch.setattr(cli, "run_tasks", recording_run)
+    return fits, task_counts
+
+
+def test_mu_sweep_hands_run_tasks_one_fit_per_task_in_the_sweep_order(tmp_path, monkeypatch):
+    # one task list, one fit per task, in the order: each method without a
+    # contrastive set once per rep, then per mu, per rep (one mixture each),
+    # per method; the seed is the rep, as the root seed is 0
+    mixes = []
+    mix = datasets.mix_datasets
+
+    def recording_mix(spec):
+        mixes.append(mix(spec))
+        return mixes[-1]
+
+    def fit_key(name, contrastive, seed):
+        return name, seed, (None if contrastive is None
+                            else next(k for k, m in enumerate(mixes) if m is contrastive))
+
+    monkeypatch.setattr(datasets, "mix_datasets", recording_mix)
+    fits, task_counts = _record_fit_tasks(monkeypatch, fit_key)
     assert run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
                     str(_write_cfg(tmp_path, SMALL_SWEEP))]) == 0
     reps, n_mu = SMALL_SWEEP["reps"], len(SMALL_SWEEP["mu_grid"])
@@ -661,6 +772,20 @@ def test_mu_sweep_hands_run_tasks_one_fit_per_task_in_the_sweep_order(tmp_path, 
     assert fits == expected
     assert len(mixes) == n_mu * reps
     assert task_counts == [len(expected)]
+
+
+@pytest.mark.parametrize("names", [["mse", "mse_ratio"], ["mse", "mse_ratio", "mse"]],
+                         ids=["two_methods", "a_method_named_twice"])
+def test_report_hands_run_tasks_one_fit_per_task_in_method_then_class_order(
+        tmp_path, monkeypatch, names):
+    fits, task_counts = _record_fit_tasks(monkeypatch,
+                                          lambda name, contrastive, seed: (name, seed))
+    payload = {"methods": names,
+               "synthetic": {"dim": 3, "n_classes": 3, "n_per_class": 100, "n_broad": 200}}
+    assert run_cli(["report", "--out", str(tmp_path / "out"), "--config",
+                    str(_write_cfg(tmp_path, payload))]) == 0
+    assert fits == [(m, i) for m in ("mse", "mse_ratio") for i in range(3)]
+    assert task_counts == [6]
 
 
 def test_mu_sweep_checks_every_mu_before_any_fit(tmp_path, capsys, monkeypatch):

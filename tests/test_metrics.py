@@ -261,35 +261,3 @@ def test_score_report_fields(tmp_path):
     datasets.write_csv(tmp_path / "roc.csv", ["fpr", "tpr"], report.roc)
     header = (tmp_path / "roc.csv").read_text().splitlines()[0]
     assert header == "fpr,tpr"
-
-
-def test_one_vs_rest_separated_clusters():
-    from cnflow.datasets import gen_gaussian
-    from cnflow.methods import one_vs_rest
-    from cnflow.training import TrainConfig
-
-    centers = [[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]]
-    class_sets = [gen_gaussian(c, 0.3, 300, seed=10 + i) for i, c in enumerate(centers)]
-    result = one_vs_rest(class_sets, "mse", TrainConfig(max_epochs=1), root_seed=0)
-    assert result.matrix.shape == (3, 2)
-    assert np.all(result.matrix > 0.95)
-    assert np.all(result.row_means > 0.95)
-
-
-def test_one_vs_rest_identical_clusters_near_chance():
-    from cnflow.datasets import gen_gaussian
-    from cnflow.methods import one_vs_rest
-    from cnflow.training import TrainConfig
-
-    class_sets = [gen_gaussian([0.0, 0.0], 1.0, 1500, seed=20 + i) for i in range(2)]
-    result = one_vs_rest(class_sets, "mse", TrainConfig(max_epochs=1), root_seed=0)
-    assert np.all(np.abs(result.matrix - 0.5) < 0.05)
-
-
-def test_one_vs_rest_needs_two_classes():
-    from cnflow.datasets import gen_gaussian
-    from cnflow.methods import one_vs_rest
-    from cnflow.training import TrainConfig
-
-    with pytest.raises(DegenerateDataError):
-        one_vs_rest([gen_gaussian([0.0], 1.0, 10, seed=0)], "mse", TrainConfig())

@@ -6,7 +6,7 @@ configs and emit plot-ready CSV / JSON artifacts (no figures):
   toy1d        1-D contrastive flow vs the analytic truncated difference
   toy2d        2-D comparison of the contrastive flow and the two-flow ratio
   clamp-sweep  1-D toy retrained per clamp threshold
-  mu-sweep     contaminated / narrow contrastive mixtures on synthetic clusters
+  mu-sweep     contaminated contrastive mixtures on synthetic clusters
   informed     known outliers mixed into the contrastive set
   tabular      marginal-permutation contrastive on correlated tabular data
   train        fit a model on a feature file, write a CFLW model file
@@ -359,10 +359,9 @@ def _load_bench(cfg: dict) -> datasets.ClusterBenchmark:
 def run_mu_sweep(cfg: dict) -> list[dict]:
     out = _out_dir(cfg)
     variant = cfg["variant"]
-    if variant not in ("contaminated", "narrow", "informed"):
+    if variant not in ("contaminated", "informed"):
         raise ConfigError(f"unknown mu-sweep variant {variant!r}")
-    methods = cfg["methods"]
-    check_methods(methods)
+    methods = check_methods(cfg["methods"])
     reps = cfg["reps"]
     if reps < 1:
         raise ConfigError(f"reps must be a positive integer, got {reps!r}")
@@ -430,7 +429,7 @@ def _tabular_data(cfg: dict, seed: int):
 
 def run_tabular(cfg: dict) -> dict:
     out = _out_dir(cfg)
-    check_methods(cfg["methods"])
+    methods = check_methods(cfg["methods"])
     seed = cfg["seed"]
     inliers, outliers = _tabular_data(cfg, seed)
     train_in, test_in = datasets.split(inliers, (1.0 - cfg["test_fraction"],
@@ -444,7 +443,7 @@ def run_tabular(cfg: dict) -> dict:
         return metrics.ScoreReport(m, score(test_in.data), score(outliers.data))
 
     report = {}
-    for sr in run_tasks([partial(score_report, m) for m in cfg["methods"]]):
+    for sr in run_tasks([partial(score_report, m) for m in methods]):
         _write_json(out / f"scores_{sr.method}.json", sr.to_json_dict())
         report[sr.method] = {"auroc": sr.auroc, "auroc_pct": 100.0 * sr.auroc}
     _write_json(out / "tabular_report.json", report)
@@ -519,8 +518,7 @@ def run_eval(cfg: dict) -> dict:
 
 def run_report(cfg: dict) -> dict:
     out = _out_dir(cfg)
-    methods = cfg["methods"]
-    check_methods(methods)
+    methods = check_methods(cfg["methods"])
     seed = cfg["seed"]
     if cfg["class_paths"]:
         *class_sets, contrastive = _load_features(
@@ -551,11 +549,11 @@ def run_report(cfg: dict) -> dict:
         return [metrics.auroc(s_in, score(other.data))
                 for j, other in enumerate(class_sets) if j != i]
 
-    # one task per (method, inlier class), so a method named twice is fitted once
+    # one task per (method, inlier class)
     tasks = {(m, i): partial(matrix_row, m, i) for m in methods for i in range(len(names))}
     fitted = dict(zip(tasks, run_tasks(list(tasks.values()))))
     summary, row_means = {}, {}
-    for m in dict.fromkeys(methods):
+    for m in methods:
         matrix = np.array([fitted[m, i] for i in range(len(names))])
         row_means[m] = matrix.mean(axis=1)
         rows = []

@@ -20,7 +20,8 @@ A ParamStore keeps its parameters, its two Adam moments and each gradient
 as views of one flat float64 array per kind (a FlatViews dict), all laid
 out alike: the backward pass writes (or adds) each weight and bias
 gradient into its view in place, the Adam step runs over the flat arrays
-in chunks that stay in cache, and a parameter snapshot is one copy.
+in chunks that stay in cache, and a fit's early-stopping snapshot of the
+parameters is one copy of the flat array.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ class ParamStore:
         self.shapes = dict(shapes)
         self.params = FlatViews(self.shapes, np.zeros(sum(map(math.prod, self.shapes.values()))))
         self.step = 0
-        self._snapshot: Array | None = None
 
     @functools.cached_property
     def m(self) -> FlatViews:
@@ -237,18 +237,6 @@ class ParamStore:
     def new_grad(self) -> FlatViews:
         """An uninitialised gradient, laid out like the parameters."""
         return FlatViews(self.shapes)
-
-    def copy_params(self) -> Array:
-        """Copy the parameters into the store's snapshot buffer and return
-        it; the buffer is allocated once and overwritten by the next call."""
-        if self._snapshot is None:
-            self._snapshot = np.empty(self.n_params())
-        self._snapshot[...] = self.params.flat
-        return self._snapshot
-
-    def load_params(self, snapshot: Array) -> None:
-        """Set the parameters from a flat snapshot, as copy_params returns."""
-        self.params.flat[...] = snapshot
 
     def reset_optimizer(self) -> None:
         self.m.flat.fill(0.0)

@@ -32,9 +32,8 @@ The cached pass of training (nll_with_backward) runs in a cached
 workspace, which holds every coupling block's arrays and MLP layer
 outputs for the backward pass; a fit builds one, sized to its largest
 batch, and every pass of every step computes in its first rows.  The
-backward pass computes in the memory of activations it no longer needs,
-so a backward function runs once, and raises if a later pass has reused
-its workspace.
+backward pass runs in the same call as its forward pass and computes in
+the memory of activations it no longer needs.
 
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
@@ -178,9 +177,7 @@ class Workspace:
     computes in.  A cached one, which a training fit keeps for its cached
     passes, has a set per coupling block, all of which the backward pass
     reads, and the backward pass's own memory.  A pass over fewer rows
-    uses the first rows of each array.  `generation` counts the passes run
-    in it, forward and backward, so that a backward function can tell
-    that its arrays have been reused or consumed."""
+    uses the first rows of each array."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         self.rows = rows
@@ -194,7 +191,6 @@ class Workspace:
         # the latent and log-determinant of a pass
         self.z = np.empty((rows, model.dim))
         self.logdet = np.empty(rows)
-        self.generation = 0
 
 
 def _coupling(model: FlowModel, block: CouplingBlock, w: _CouplingArrays, n: int):
@@ -366,18 +362,18 @@ def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: A
         g, spare = spare, g
 
 
-def nll_with_backward(model: FlowModel, x, *,
-                      workspace: Workspace | None = None) -> tuple[Array, Callable[..., FlatViews]]:
-    """Per-sample NLL vector from one cached forward pass, and the function
-    backward(weights, into=None) that maps one weight per sample to the
-    gradient of sum_i weights_i * nll_i through the same cache: a new
-    gradient laid out like the model's parameters, or, given `into`, the
-    gradient `into` with this one added to it in place.
+def nll_with_backward(model: FlowModel, x, weigh: Callable[[Array], Array | None], *,
+                      into: FlatViews | None = None,
+                      workspace: Workspace | None = None) -> tuple[Array, FlatViews | None]:
+    """Per-sample NLL vector from one cached forward pass, and the gradient
+    of sum_i weights_i * nll_i through the same cache, where weights =
+    weigh(nll) holds one weight per sample: a new gradient laid out like
+    the model's parameters, or, given `into`, `into` with this one added
+    to it in place.  When weigh returns None no backward pass runs and
+    the gradient returned is `into` as it was.
 
     The pass runs in `workspace`, a cached Workspace of at least as many
-    rows as x (a new one by default).  The backward function can run once,
-    and only before the next pass in the same workspace: it raises
-    otherwise, since the arrays it reads are gone.
+    rows as x (a new one by default).
 
     The NLL is bitwise that of log_prob whenever log_prob runs the batch
     in one row block, and raises the same error when it is not finite.
@@ -387,34 +383,26 @@ def nll_with_backward(model: FlowModel, x, *,
     ws = Workspace(model, n, cached=True) if workspace is None else workspace
     if ws.rows < n:
         raise DimensionError(f"a workspace of {ws.rows} rows cannot hold a batch of {n}")
-    ws.generation += 1
-    generation = ws.generation
     z, logdet = ws.z[:n], ws.logdet[:n]
     caches = _forward_pass(model, x, z, logdet, ws)
     nll = _finite(_nll(model, z, logdet))
-
-    def backward(weights, into: FlatViews | None = None) -> FlatViews:
-        if ws.generation != generation:
-            raise RuntimeError("the workspace of this pass was reused or its backward pass "
-                               "has run; run the forward pass again")
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise DimensionError("weights must be one scalar per sample")
-        ws.generation += 1
-        grads = model.store.new_grad() if into is None else into
-        _backward_pass(model, ws, caches, np.multiply(weights[:, None], z, out=z), -weights,
-                       grads, into is not None)
-        return grads
-
-    return nll, backward
+    weights = weigh(nll)
+    if weights is None:
+        return nll, into
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise DimensionError("weights must be one scalar per sample")
+    grads = model.store.new_grad() if into is None else into
+    _backward_pass(model, ws, caches, np.multiply(weights[:, None], z, out=z), -weights,
+                   grads, into is not None)
+    return nll, grads
 
 
 def weighted_nll_grad(model: FlowModel, x, weights, *,
                       workspace: Workspace | None = None) -> tuple[Array, FlatViews]:
     """Per-sample NLL vector and the gradient of sum_i weights_i * nll_i,
     from nll_with_backward (in `workspace`)."""
-    nll, backward = nll_with_backward(model, x, workspace=workspace)
-    return nll, backward(weights)
+    return nll_with_backward(model, x, lambda nll: weights, workspace=workspace)
 
 
 _MAGIC = b"CFLW"

@@ -23,11 +23,13 @@ CONTRASTIVE_METHODS = ("cf", "cf_ft", "flow_ratio", "mse_ratio")
 FLOW_OBJECTIVES = {"nll_flow": "nll", "cf": "contrastive", "cf_ft": "cf_ft"}
 
 
-def check_methods(names) -> None:
-    """Raise ConfigError naming the first of names that is not in METHODS."""
+def check_methods(names) -> list[str]:
+    """The distinct names, in first-seen order; ConfigError naming the
+    first of names that is not in METHODS."""
     for name in names:
         if name not in METHODS:
             raise ConfigError(f"unknown method {name!r}; pick from {METHODS}")
+    return list(dict.fromkeys(names))
 
 
 def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,

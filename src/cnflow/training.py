@@ -96,31 +96,30 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
                           workspace: Workspace | None = None) -> tuple[float, FlatViews]:
     """Clamped contrastive loss and its exact gradients.
 
-    The contrastive batch runs forward once.  Contrastive samples with
-    nll >= tau sit on the flat part of the clamp and get weight 0 in the
-    backward pass, which runs over the whole batch if any sample is below
-    the clamp and not at all otherwise, so a fully saturated batch leaves
-    the gradients bit-identical to the plain NLL objective.
+    The inlier half is nll_objective's.  The contrastive batch runs
+    forward once.  Contrastive samples with nll >= tau sit on the flat
+    part of the clamp and get weight 0 in the backward pass, which runs
+    over the whole batch if any sample is below the clamp and not at all
+    otherwise, so a fully saturated batch leaves the gradients
+    bit-identical to the plain NLL objective.
 
     Both batches run in `workspace` (a cached flows.Workspace of as many
-    rows as the larger batch; by default each pass builds its own): the
-    inlier batch's backward pass ends before the contrastive batch's
-    forward pass starts.
+    rows as the larger batch; by default each pass builds its own).
     """
-    pos = as_batch(pos_batch, model.dim)
     neg = as_batch(neg_batch, model.dim)
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        raise DegenerateDataError("both batches must be non-empty")
-    n = pos.shape[0]
-    nll_pos, grads = weighted_nll_grad(model, pos, np.full(n, 1.0 / n), workspace=workspace)
     m = neg.shape[0]
-    nll_neg, neg_backward = nll_with_backward(model, neg, workspace=workspace)
-    active = nll_neg < tau
-    if np.any(active):
-        # added layer by layer into the inlier gradient: the sum is
-        # elementwise pos + neg either way, so no bit changes
-        neg_backward(np.where(active, -1.0 / m, 0.0), into=grads)
-    loss = float(nll_pos.mean() - np.minimum(nll_neg, tau).mean())
+    if m == 0:
+        raise DegenerateDataError("empty contrastive batch")
+    loss_pos, grads = nll_objective(model, pos_batch, workspace=workspace)
+
+    def weigh(nll: Array) -> Array | None:
+        active = nll < tau
+        return np.where(active, -1.0 / m, 0.0) if np.any(active) else None
+
+    # added layer by layer into the inlier gradient: the sum is
+    # elementwise pos + neg either way, so no bit changes
+    nll_neg, grads = nll_with_backward(model, neg, weigh, into=grads, workspace=workspace)
+    loss = loss_pos - float(np.minimum(nll_neg, tau).mean())
     if not math.isfinite(loss):
         raise NumericError("contrastive loss is non-finite")
     return loss, grads
@@ -195,6 +194,8 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
         batch_c = np.empty((min(cfg.batch_size, train_c.shape[0]), model.dim))
         rows = max(rows, batch_c.shape[0])
     workspace = Workspace(model, rows, cached=True)
+    # the parameters of the best epoch of early stopping
+    best_params = np.empty(model.store.n_params())
     # (objective, epochs, early stopping, shuffle streams) of each phase
     phases = [("nll" if cfg.objective in ("nll", "cf_ft") else "contrastive",
                cfg.max_epochs, True, rng_in, rng_c)]
@@ -207,7 +208,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
         contrastive = objective == "contrastive"
         steps_c = _epoch_batches(train_c.shape[0], cfg.batch_size) if contrastive else 0
         steps = max(steps_in, steps_c)
-        best_metric = best_params = None
+        best_metric = None
         stale = 0
         for _ in range(max_epochs):
             perm_in = shuffle_in.permutation(n_in)
@@ -242,7 +243,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
             if early_stop and metric is not None:
                 if best_metric is None or metric > best_metric:
                     best_metric = metric
-                    best_params = model.store.copy_params()
+                    best_params[...] = model.store.params.flat
                     history.best_epoch = epoch
                     stale = 0
                 else:
@@ -253,8 +254,8 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
             elif early_stop or cfg.max_epochs == 0:
                 # the finetune's epochs are the best only when no NLL epoch ran
                 history.best_epoch = epoch
-        if best_params is not None:
-            model.store.load_params(best_params)
+        if best_metric is not None:
+            model.store.params.flat[...] = best_params
     return model, history
 
 

@@ -788,6 +788,45 @@ def test_report_hands_run_tasks_one_fit_per_task_in_method_then_class_order(
     assert task_counts == [6]
 
 
+@pytest.mark.parametrize("kind", ["mu-sweep", "tabular", "report"])
+def test_a_method_named_twice_runs_as_if_named_once(tmp_path, monkeypatch, kind):
+    # a repeated name once gave a second mu-sweep row, a second tabular
+    # fit and score file, and a report Wilcoxon of a method against itself
+    fits = []
+    fit_method = cli.fit_method
+
+    def counting_fit(name, *args, **kwargs):
+        fits.append(name)
+        return fit_method(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_method", counting_fit)
+    payload = {"mu-sweep": {**SMALL_SWEEP, "mu_grid": [0.5]},
+               "tabular": {"synthetic": {"dim": 3, "n_inlier": 200, "n_outlier": 40}},
+               "report": {"synthetic": {"dim": 3, "n_classes": 3, "n_per_class": 100,
+                                        "n_broad": 200}}}[kind]
+    cfg = _write_cfg(tmp_path, payload)
+    runs = {}
+    for names in ("mse", "mse,mse"):
+        fits.clear()
+        out = tmp_path / names
+        assert run_cli([kind, "--method", names, "--out", str(out), "--config", str(cfg)]) == 0
+        runs[names] = fits[:], {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["mse,mse"] == runs["mse"]
+
+
+def test_mu_sweep_narrow_variant_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    # "narrow" once ran the informed sweep under another name
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a method was fitted for an unknown variant")
+
+    monkeypatch.setattr(cli, "fit_method", no_fit)
+    rc = run_cli(["mu-sweep", "--out", str(tmp_path / "out"), "--config",
+                  str(_write_cfg(tmp_path, {**SMALL_SWEEP, "variant": "narrow"}))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip() == "config error: unknown mu-sweep variant 'narrow'"
+
+
 def test_mu_sweep_checks_every_mu_before_any_fit(tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a method was fitted before every mu was checked")

@@ -319,10 +319,6 @@ def test_store_views_share_one_flat_array_per_kind():
     for kind in (store.m, store.v, store.new_grad()):
         assert list(kind) == ["w", "e", "b"]
         assert all(np.shares_memory(view, kind.flat) for view in kind.values() if view.size)
-    snapshot = store.copy_params()
-    store.params["w"][...] = -1.0
-    store.load_params(snapshot)
-    assert np.array_equal(store.params["w"], np.arange(6.0).reshape(2, 3))
 
 
 def test_mlp_backward_adds_into_a_given_gradient():

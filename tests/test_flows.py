@@ -264,10 +264,10 @@ def test_cached_pass_keeps_each_hidden_activation_once():
     # pre-activation was kept beside each)
     model = flows.init_model(8, n_blocks=2, hidden_width=256, seed=0)
     x = np.random.default_rng(0).standard_normal((2048, 8))
-    flows.nll_with_backward(model, x[:4])
+    flows.nll_with_backward(model, x[:4], lambda nll: None)
     tracemalloc.start()
     try:
-        kept = flows.nll_with_backward(model, x)
+        kept = flows.nll_with_backward(model, x, lambda nll: None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,24 +275,66 @@ def test_cached_pass_keeps_each_hidden_activation_once():
     assert peak / (2048 * 256 * 8) < 5
 
 
-def test_a_stale_backward_raises():
-    # a backward function reads its pass's arrays in the workspace: once a
-    # later pass has reused them, or its own backward pass has consumed
-    # them, it must raise rather than return a wrong gradient
+def test_a_short_workspace_or_weights_of_the_wrong_length_raise():
     model = small_model(dim=3, seed=1)
     perturb(model, seed=2)
     rng = np.random.default_rng(3)
-    x, y = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
     workspace = flows.Workspace(model, 5, cached=True)
-    _, stale = flows.nll_with_backward(model, x, workspace=workspace)
-    _, backward = flows.nll_with_backward(model, y, workspace=workspace)
-    with pytest.raises(RuntimeError, match="reused"):
-        stale(np.ones(5))
-    backward(np.ones(4))
-    with pytest.raises(RuntimeError, match="reused"):
-        backward(np.ones(4))
     with pytest.raises(DimensionError, match="workspace of 5 rows"):
-        flows.nll_with_backward(model, rng.standard_normal((6, 3)), workspace=workspace)
+        flows.nll_with_backward(model, rng.standard_normal((6, 3)), lambda nll: nll,
+                                workspace=workspace)
+    with pytest.raises(DimensionError, match="one scalar per sample"):
+        flows.nll_with_backward(model, rng.standard_normal((5, 3)), lambda nll: np.ones(4),
+                                workspace=workspace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 5), hidden=st.sampled_from([1, 4, 17]), n_blocks=st.integers(1, 3),
+       rows=st.integers(1, 40), into=st.booleans(), skip=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_nll_with_backward_weighs_the_nll_it_returns(dim, hidden, n_blocks, rows, into, skip,
+                                                     seed):
+    # weigh sees exactly the NLL the call returns; its weights give the
+    # bits of weighted_nll_grad, added into `into` when one is given, and
+    # None runs no backward pass and returns `into` untouched
+    model = small_model(dim=dim, n_blocks=n_blocks, hidden=hidden, seed=seed)
+    perturb(model, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, dim))
+    weights = rng.standard_normal(rows)
+    base = flows.weighted_nll_grad(model, rng.standard_normal((3, dim)), np.ones(3))[1]
+    given_grads = base if into else None
+    before = base.flat.copy()
+    seen = []
+
+    def weigh(nll):
+        seen.append(nll.copy())
+        return None if skip else weights
+
+    backward = flows.mlp_backward
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "mlp_backward", counting)
+        nll, grads = flows.nll_with_backward(model, x, weigh, into=given_grads)
+    assert len(seen) == 1 and np.array_equal(seen[0], nll)
+    if skip:
+        assert grads is given_grads and not calls
+        assert np.array_equal(base.flat, before)
+        return
+    assert len(calls) == model.n_blocks
+    want_nll, want = flows.weighted_nll_grad(model, x, weights)
+    assert np.array_equal(nll, want_nll)
+    if into:
+        # the sum is elementwise, so adding in place changes no bit
+        assert grads is base
+        assert np.array_equal(grads.flat, before + want.flat)
+    else:
+        assert np.array_equal(grads.flat, want.flat)
 
 
 # --- parallel row blocks ----------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,6 +318,21 @@ def test_train_determinism():
         assert np.array_equal(m1.store.params[name], m2.store.params[name])
     assert h1.train_loss == h2.train_loss
     assert h1.proxy_auroc == h2.proxy_auroc
+
+
+def test_early_stopping_restores_the_best_epoch_parameters():
+    # a run that stopped past its best epoch ends with that epoch's
+    # parameters, the bits of a rerun that stops at it
+    inl = gen_gaussian([0.0, 0.0], 1.0, 400, seed=23)
+    con = gen_gaussian([1.0, 1.0], 2.0, 400, seed=24)
+    cfg = TrainConfig(batch_size=64, lr=1e-2, max_epochs=30, patience=2, clamp_tau=6.0,
+                      val_fraction=0.2, seed=0)
+    model, history = train(flows.init_model(2, 2, 8, seed=7), inl, con, cfg)
+    assert history.stopped_early and history.best_epoch < len(history.train_loss) - 1
+    rerun, rerun_history = train(flows.init_model(2, 2, 8, seed=7), inl, con,
+                                 replace(cfg, max_epochs=history.best_epoch + 1))
+    assert rerun_history.best_epoch == history.best_epoch
+    assert np.array_equal(model.store.params.flat, rerun.store.params.flat)
 
 
 def test_saturated_contrastive_training_bit_identical_to_nll():

@@ -342,8 +342,9 @@ def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = Non
     """The gradients of sum(grad_out * output) with respect to the
     network's parameters and its input.  The parameter gradients are
     written in place into the views of `grads` (a new FlatViews of the
-    network's parameters by default), or added to them with `add`; the
-    input gradient is written to `grad_in` (a new array by default).
+    network's parameters by default), or added to them with `add`, which
+    needs `grads`; the input gradient is written to `grad_in` (a new
+    array by default).
 
     The pass consumes the cache: each hidden layer's input gradient is
     computed in the memory of the layer's input activation, dead once its
@@ -352,6 +353,8 @@ def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = Non
     default)."""
     if cache.spent:
         raise RuntimeError("an MlpCache serves one backward pass; run the forward pass again")
+    if add and grads is None:
+        raise ValueError("add needs the gradients to add into")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != cache.out_shape:
         raise DimensionError(f"grad_out shape {grad_out.shape} != forward output {cache.out_shape}")

@@ -29,11 +29,14 @@ rows and columns among its threads but never the inner sum, so the
 number of workers does not change a bit either.
 
 The cached pass of training (nll_with_backward) runs in a cached
-workspace, which holds every coupling block's arrays and MLP layer
-outputs for the backward pass; a fit builds one, sized to its largest
-batch, and every pass of every step computes in its first rows.  The
-backward pass runs in the same call as its forward pass and computes in
-the memory of activations it no longer needs.
+workspace, which holds every coupling block's arrays and hidden MLP
+activations for the backward pass, and one conditioner-output array that
+all coupling blocks share, since no block's raw log-scale and shift is
+read after the next block's conditioner runs; a fit builds one, sized to
+its largest batch, and every pass of every step computes in its first
+rows.  The backward pass runs in the same call as its forward pass and
+computes in the memory of activations it no longer needs, each block's
+conditioner-output gradient in the shared output array.
 
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
@@ -155,9 +158,11 @@ class _CouplingArrays:
     """The arrays of one coupling step of up to `rows` rows: the
     conditioning and transformed halves of the permuted input, tanh(raw /
     alpha) (in exp_s's memory unless kept for a backward pass), the exp of
-    the clamped log-scale and the output of each conditioner layer."""
+    the clamped log-scale and the output of each conditioner layer, the
+    last of which, the raw log-scale and shift, is `raw`, which the
+    workspace shares among its coupling blocks."""
 
-    def __init__(self, model: FlowModel, rows: int, keep_th: bool):
+    def __init__(self, model: FlowModel, rows: int, keep_th: bool, raw: Array):
         spec = model.blocks[0].subnet
         d_trans = model.dim - spec.in_width
         self.cond = np.empty((rows, spec.in_width))
@@ -165,7 +170,7 @@ class _CouplingArrays:
         self.exp_s = np.empty((rows, d_trans))
         # tanh is needed only until the log-scale is formed, unless kept
         self.th = np.empty((rows, d_trans)) if keep_th else self.exp_s
-        self.layers = [np.empty((rows, fan_out)) for _, fan_out in spec.layer_dims()]
+        self.layers = [np.empty((rows, fan_out)) for _, fan_out in spec.layer_dims()[:-1]] + [raw]
 
 
 class Workspace:
@@ -175,19 +180,24 @@ class Workspace:
     forward-only workspace (a worker of a forward-only call takes one)
     they are one set, which every coupling block of every row block
     computes in.  A cached one, which a training fit keeps for its cached
-    passes, has a set per coupling block, all of which the backward pass
-    reads, and the backward pass's own memory.  A pass over fewer rows
-    uses the first rows of each array."""
+    passes, has a set per coupling block, which the backward pass reads,
+    and the backward pass's own memory.  Either way the coupling blocks
+    share one conditioner-output array: a forward pass reads a block's
+    raw log-scale and shift only before the next block's conditioner
+    runs, and the backward pass reads none of it, but writes each block's
+    output gradient there before its conditioner's backward pass reads
+    it.  A pass over fewer rows uses the first rows of each array."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         self.rows = rows
+        raw = np.empty((rows, model.blocks[0].subnet.out_width))
         if cached:
-            self.blocks = [_CouplingArrays(model, rows, True) for _ in model.blocks]
+            self.blocks = [_CouplingArrays(model, rows, True, raw) for _ in model.blocks]
             # the latent gradient of every other block of a backward pass
             self.grad = np.empty((rows, model.dim))
             self.mlp = MlpScratch(model.blocks[0].subnet, rows)
         else:
-            self.blocks = [_CouplingArrays(model, rows, False)] * model.n_blocks
+            self.blocks = [_CouplingArrays(model, rows, False, raw)] * model.n_blocks
         # the latent and log-determinant of a pass
         self.z = np.empty((rows, model.dim))
         self.logdet = np.empty(rows)
@@ -339,9 +349,9 @@ def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: A
     sum_i [g_i . z_i + dld_i * logdet_i] w.r.t. all parameters, where g,
     the latent gradient, is in the first rows of ws.z.  Every step computes
     in ws memory that the pass no longer needs: the conditioner's output
-    gradient in its output, 1 - th^2 in th, the conditioner's input
-    gradient in cond, and each block's input gradient in whichever of ws.z
-    and ws.grad does not hold its output gradient."""
+    gradient in the shared conditioner output, 1 - th^2 in th, the
+    conditioner's input gradient in cond, and each block's input gradient
+    in whichever of ws.z and ws.grad does not hold its output gradient."""
     n = g.shape[0]
     spare = ws.grad[:n]
     for block, mlp_cache in zip(reversed(model.blocks), reversed(caches)):

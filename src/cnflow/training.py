@@ -177,13 +177,14 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(6)]
     rng_split_in, rng_split_c, rng_in, rng_c, rng_ft_in, rng_ft_c = streams
 
-    train_in, val_in = _val_split(data_in, cfg.val_fraction, rng_split_in)
-    train_c = data_c
+    # the training rows stay in the caller's arrays, named by their indices
+    rows_in, val_in = _val_split(data_in, cfg.val_fraction, rng_split_in)
+    rows_c = None if data_c is None else np.arange(data_c.shape[0])
     if val_c is None and data_c is not None:
-        train_c, val_c = _val_split(data_c, cfg.val_fraction, rng_split_c)
+        rows_c, val_c = _val_split(data_c, cfg.val_fraction, rng_split_c)
 
     history = TrainHistory()
-    n_in = train_in.shape[0]
+    n_in = rows_in.size
     steps_in = _epoch_batches(n_in, cfg.batch_size)
     # every step gathers its batches into these rows and runs its passes
     # in one workspace, sized to the largest batch of the fit
@@ -191,7 +192,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     batch_c = None
     rows = batch_in.shape[0]
     if cfg.objective != "nll":
-        batch_c = np.empty((min(cfg.batch_size, train_c.shape[0]), model.dim))
+        batch_c = np.empty((min(cfg.batch_size, rows_c.size), model.dim))
         rows = max(rows, batch_c.shape[0])
     workspace = Workspace(model, rows, cached=True)
     # the parameters of the best epoch of early stopping
@@ -206,21 +207,21 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
             # the finetune starts from fresh optimizer moments
             model.store.reset_optimizer()
         contrastive = objective == "contrastive"
-        steps_c = _epoch_batches(train_c.shape[0], cfg.batch_size) if contrastive else 0
+        steps_c = _epoch_batches(rows_c.size, cfg.batch_size) if contrastive else 0
         steps = max(steps_in, steps_c)
         best_metric = None
         stale = 0
         for _ in range(max_epochs):
             perm_in = shuffle_in.permutation(n_in)
             if contrastive:
-                perm_c = shuffle_c.permutation(train_c.shape[0])
+                perm_c = shuffle_c.permutation(rows_c.size)
             losses = []
             for step in range(steps):
                 lo = (step % steps_in) * cfg.batch_size
-                xb = _gather(train_in, perm_in[lo:lo + cfg.batch_size], batch_in)
+                xb = _gather(data_in, rows_in[perm_in[lo:lo + cfg.batch_size]], batch_in)
                 if contrastive:
                     lo_c = (step % steps_c) * cfg.batch_size
-                    yb = _gather(train_c, perm_c[lo_c:lo_c + cfg.batch_size], batch_c)
+                    yb = _gather(data_c, rows_c[perm_c[lo_c:lo_c + cfg.batch_size]], batch_c)
                     loss, grads = contrastive_objective(model, xb, yb, cfg.clamp_tau,
                                                         workspace=workspace)
                 else:
@@ -260,19 +261,24 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
 
 
 def _gather(data: Array, rows: Array, out: Array) -> Array:
-    """data[rows], copied into the first rows of out."""
-    # rows come from a permutation, so no index needs the bounds check,
-    # whose mode="raise" would take a temporary copy
+    """data[rows], copied into the first rows of out: a batch is gathered
+    from the caller's array through the split's row indices, so a fit
+    never holds a copy of its training rows."""
+    # rows are distinct indices into data, so none needs the bounds
+    # check, whose mode="raise" would take a temporary copy
     return np.take(data, rows, axis=0, out=out[:rows.size], mode="clip")
 
 
 def _val_split(data: Array, fraction: float, rng: np.random.Generator):
-    """Last `fraction` of a seeded shuffle becomes the validation set."""
+    """The last `fraction` of a seeded shuffle of data's rows becomes the
+    validation set.  Returns the indices of the training rows, in shuffle
+    order, and a copy of the validation rows (None when there are none);
+    the training rows are not copied."""
     n = data.shape[0]
     n_val = int(round(fraction * n))
     if n and n_val == n:
         raise DegenerateDataError(f"val_fraction {fraction} leaves none of {n} rows for training")
     perm = rng.permutation(n)
     if n_val == 0:
-        return data[perm], None
-    return data[perm[:n - n_val]], data[perm[n - n_val:]]
+        return perm, None
+    return perm[:n - n_val], data[perm[n - n_val:]]

@@ -341,6 +341,15 @@ def test_mlp_backward_adds_into_a_given_gradient():
         assert np.array_equal(total[name], first[name] + second[name])
 
 
+def test_mlp_backward_adding_without_a_gradient_raises():
+    # a new gradient is uninitialised memory, so there is nothing to add to
+    spec = MlpSpec(3, 2, hidden_width=5, n_hidden_layers=1)
+    store = make_store(spec, seed=6)
+    _, cache = mlp_forward(store, spec, np.random.default_rng(7).standard_normal((4, 3)))
+    with pytest.raises(ValueError, match="add needs the gradients"):
+        mlp_backward(cache, np.ones((4, 2)), add=True)
+
+
 def test_a_spent_mlp_cache_raises():
     spec = MlpSpec(3, 2, hidden_width=5, n_hidden_layers=2)
     store = make_store(spec, seed=4)

@@ -275,6 +275,31 @@ def test_cached_pass_keeps_each_hidden_activation_once():
     assert peak / (2048 * 256 * 8) < 5
 
 
+def test_a_cached_workspace_holds_one_conditioner_output_array():
+    # the traced bytes of seven more coupling blocks are seven sets of
+    # per-block arrays without the conditioner output: each block adding
+    # an output array of its own would add 7 x 64 KiB more
+    rows, dim = 512, 16
+
+    def traced(n_blocks):
+        model = small_model(dim=dim, n_blocks=n_blocks, hidden=32)
+        tracemalloc.start()
+        try:
+            workspace = flows.Workspace(model, rows, cached=True)
+            return tracemalloc.get_traced_memory()[0], workspace
+        finally:
+            tracemalloc.stop()
+
+    one, _ = traced(1)
+    eight, workspace = traced(8)
+    w = workspace.blocks[0]
+    per_block = sum(a.nbytes for a in (w.cond, w.trans, w.exp_s, w.th, *w.layers[:-1]))
+    output = w.layers[-1].nbytes
+    assert output == rows * dim * 8
+    assert 7 * per_block <= eight - one < 7 * per_block + output
+    assert all(b.layers[-1] is w.layers[-1] for b in workspace.blocks)
+
+
 def test_a_short_workspace_or_weights_of_the_wrong_length_raise():
     model = small_model(dim=3, seed=1)
     perturb(model, seed=2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import cli, flows
+from cnflow import cli, flows, training
 from cnflow.diffcore import adam_step
 from cnflow.datasets import gen_gaussian
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
@@ -154,6 +154,83 @@ def test_contrastive_training_holds_one_gradient_and_one_snapshot():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * n_params
+
+
+def test_train_gathers_batches_without_copying_its_training_rows(monkeypatch):
+    # a fit copies only its validation rows (0.1 of each set) and keeps
+    # the split's row indices (8 bytes against 256 per row); copying every
+    # row into its train/validation split traced above 1.0x the rows'
+    # bytes.  The proxy AUROC's log_prob runs on one worker, whose
+    # workspace of up to 2047 rows is the rest of the peak (about 0.07x)
+    monkeypatch.setattr(flows, "blas_threads", lambda: 1)
+    rng = np.random.default_rng(0)
+    inliers, contrastive = rng.standard_normal((60_000, 32)), rng.standard_normal((60_000, 32))
+    before = inliers.copy(), contrastive.copy()
+    model = small_model(dim=32, seed=1, hidden=4, n_blocks=2)
+    cfg = TrainConfig(max_epochs=1, val_fraction=0.1, clamp_tau=40.0, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(model, inliers, contrastive, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * (inliers.nbytes + contrastive.nbytes)
+    # the fit never writes into the caller's arrays
+    assert np.array_equal(inliers, before[0]) and np.array_equal(contrastive, before[1])
+
+
+@pytest.mark.parametrize("objective", ["nll", "contrastive", "cf_ft"])
+@pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+@pytest.mark.parametrize("own_val", [False, True])
+def test_index_gathered_batches_match_batches_of_copied_splits(objective, val_fraction, own_val,
+                                                               monkeypatch):
+    # the batches a fit gathers through its split's row indices are the
+    # rows, in the order, that slicing a copy of each split gives
+    rng = np.random.default_rng(1)
+    inliers, contrastive = rng.standard_normal((70, 3)), 1.5 * rng.standard_normal((45, 3))
+    val_c = 1.5 * rng.standard_normal((20, 3)) if own_val else None
+    cfg = TrainConfig(batch_size=16, max_epochs=2, val_fraction=val_fraction, seed=3,
+                      objective=objective, clamp_tau=4.0)
+    seen = []
+
+    gather = training._gather
+
+    def record(data, rows, out):
+        batch = gather(data, rows, out)
+        seen.append(batch.copy())
+        return batch
+
+    monkeypatch.setattr(training, "_gather", record)
+    train(small_model(dim=3, seed=4), inliers, contrastive, cfg, val_c)
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(6)]
+
+    def split(data, rng_split):
+        n_val = int(round(val_fraction * data.shape[0]))
+        perm = rng_split.permutation(data.shape[0])
+        return data[perm[:data.shape[0] - n_val]]
+
+    train_in = split(inliers, streams[0])
+    train_c = contrastive if own_val else split(contrastive, streams[1])
+    want = []
+    phases = [(objective != "contrastive", streams[2], streams[3], 2)]
+    if objective == "cf_ft":
+        phases.append((False, streams[4], streams[5], FINETUNE_EPOCHS))
+    for nll, shuffle_in, shuffle_c, epochs in phases:
+        steps_in = -(-train_in.shape[0] // 16)
+        steps_c = -(-train_c.shape[0] // 16)
+        steps = steps_in if nll else max(steps_in, steps_c)
+        for _ in range(epochs):
+            perm_in = shuffle_in.permutation(train_in.shape[0])
+            perm_c = None if nll else shuffle_c.permutation(train_c.shape[0])
+            for step in range(steps):
+                lo = (step % steps_in) * 16
+                want.append(train_in[perm_in[lo:lo + 16]])
+                if not nll:
+                    lo = (step % steps_c) * 16
+                    want.append(train_c[perm_c[lo:lo + 16]])
+    assert len(seen) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 def test_contrastive_requires_matching_dims():

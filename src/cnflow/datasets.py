@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diffcore import all_finite
 from .errors import DegenerateDataError, DimensionError, FormatError
 from .oracle import GaussianSpec
 
@@ -43,7 +44,7 @@ class FeatureSet:
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DimensionError("FeatureSet data must be 2-D (n, D)")
-        if not np.all(np.isfinite(self.data)):
+        if not all_finite(self.data):
             raise DegenerateDataError("FeatureSet data contains non-finite entries")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int8)
@@ -209,10 +210,12 @@ def load_features(path, format: str | None = None) -> FeatureSet:
             size = os.fstat(fh.fileno()).st_size
             if size != expected:
                 raise FormatError(f"feature file is {size} bytes, its header implies {expected}")
-            data = np.frombuffer(fh.read(4 * dim * n), dtype="<f4").reshape(n, dim).astype(np.float64)
+            data = _read_float32_rows(fh, n, dim)
             labels = None
             if flags & 1:
-                labels = np.frombuffer(fh.read(n), dtype=np.uint8)
+                labels = np.empty(n, dtype=np.uint8)
+                if fh.readinto(labels) != n:
+                    raise FormatError("feature file ended inside its labels")
                 if np.any(labels > LABEL_CONTRASTIVE):
                     raise FormatError(f"label bytes outside the codes {LABEL_CODES}")
         return FeatureSet(data, labels)
@@ -243,6 +246,27 @@ def load_features(path, format: str | None = None) -> FeatureSet:
                 raise FormatError(f"line {line_no}: label {labels[-1]} is not in {LABEL_CODES}")
         data = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
         return FeatureSet(data, np.array(labels, dtype=np.int8) if has_labels else None)
+
+
+# float32 values per read of a binary payload: the one buffer a load holds
+# beyond its rows is 256 KiB
+_LOAD_CHUNK = 65536
+
+
+def _read_float32_rows(fh, n: int, dim: int) -> Array:
+    """The next n x D little-endian float32 values of fh as float64 rows,
+    read through one bounded buffer into the preallocated rows; the
+    widening is exact, so the rows are bitwise those of
+    np.frombuffer(payload, "<f4").astype(np.float64)."""
+    data = np.empty((n, dim))
+    flat = data.reshape(-1)
+    buf = np.empty(min(flat.size, _LOAD_CHUNK), dtype="<f4")
+    for lo in range(0, flat.size, _LOAD_CHUNK):
+        chunk = buf[:min(_LOAD_CHUNK, flat.size - lo)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError("feature file ended inside its payload")
+        flat[lo:lo + chunk.size] = chunk
+    return data
 
 
 def _resolve_format(path, format: str | None) -> str:

@@ -9,6 +9,8 @@ the row blocks of a flow pass or the fits of an experiment on workers.
 
 The forward pass computes each layer in place in its matmul output, in
 caller-given arrays if there are any, and the cache keeps those outputs.
+Each layer is one dense() call, so a caller that lets a cached activation
+be overwritten can compute it again, bit for bit, from the layer's input.
 The backward pass consumes its cache: it writes each layer's input
 gradient into the memory of the layer's input activation, which it no
 longer needs, and the rest of its working memory (a relu mask and, when
@@ -159,9 +161,22 @@ def as_batch(x, cols: int | None = None) -> Array:
         raise DimensionError(f"expected a 2-D batch, got ndim={a.ndim}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"expected {cols} columns, got {a.shape[1]}")
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise NumericError("input batch contains non-finite values")
     return a
+
+
+# elements per chunk of a finiteness check, whose mask is then 64 KiB
+# whatever the size of the array checked
+_FINITE_CHUNK = 65536
+
+
+def all_finite(a: Array) -> bool:
+    """Whether every entry of the C-contiguous array a is finite, checked
+    chunk by chunk, so that no mask is the size of a."""
+    flat = a.reshape(-1)
+    return all(np.isfinite(flat[lo:lo + _FINITE_CHUNK]).all()
+               for lo in range(0, flat.size, _FINITE_CHUNK))
 
 
 @dataclass
@@ -268,6 +283,16 @@ def _activate(kind: str, h: Array, out: Array | None = None) -> Array:
     return np.logaddexp(0.0, h, out=out)  # softplus
 
 
+def dense(a: Array, w: Array, b: Array, activation: str | None = None,
+          out: Array | None = None) -> Array:
+    """a @ w + b, then the activation unless it is None, computed in place
+    in out (a new array by default): the arithmetic of every layer of
+    mlp_forward, so a layer computed again from its input has its bits."""
+    h = np.matmul(a, w, out=out)
+    h += b
+    return h if activation is None else _activate(activation, h, out=h)
+
+
 def _input_grad(kind: str, a: Array, g: Array, w: Array, mask: Array) -> Array:
     """(g @ w.T) * f'(h), the input gradient of a layer whose input is the
     activation a = f(h), which is dead afterwards: relu computes it in a's
@@ -327,13 +352,11 @@ def mlp_forward(store: ParamStore, spec: MlpSpec, x: Array, prefix: str = "",
         b = store.params[prefix + f"b{layer}"]
         if w.shape != (fan_in, fan_out):
             raise DimensionError(f"{prefix}w{layer} has shape {w.shape}, spec wants {(fan_in, fan_out)}")
-        h = np.matmul(a, w, out=out[layer][:x.shape[0]] if out else None)
-        h += b
         cache.weights.append(w)
         cache.inputs.append(a)
-        if layer == len(dims) - 1:
-            return h, cache
-        a = _activate(spec.activation, h, out=h)
+        a = dense(a, w, b, None if layer == len(dims) - 1 else spec.activation,
+                  out=out[layer][:x.shape[0]] if out else None)
+    return a, cache
 
 
 def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = None,
@@ -400,8 +423,7 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
         raise DimensionError("the gradient must be a FlatViews of the store's size")
     flat_g = grads.flat
     n = flat_g.size
-    # checked chunk by chunk, so that the mask is never parameter-sized
-    if not all(np.isfinite(flat_g[lo:lo + _ADAM_CHUNK]).all() for lo in range(0, n, _ADAM_CHUNK)):
+    if not all_finite(flat_g):
         bad = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
         raise NumericError(f"non-finite gradient for {bad!r}; parameters unchanged")
     t = store.step + 1

@@ -29,14 +29,14 @@ rows and columns among its threads but never the inner sum, so the
 number of workers does not change a bit either.
 
 The cached pass of training (nll_with_backward) runs in a cached
-workspace, which holds every coupling block's arrays and hidden MLP
-activations for the backward pass, and one conditioner-output array that
-all coupling blocks share, since no block's raw log-scale and shift is
-read after the next block's conditioner runs; a fit builds one, sized to
-its largest batch, and every pass of every step computes in its first
-rows.  The backward pass runs in the same call as its forward pass and
-computes in the memory of activations it no longer needs, each block's
-conditioner-output gradient in the shared output array.
+workspace, which a fit builds once, sized to its largest batch; every
+pass of every step computes in its first rows.  It keeps each coupling
+block's arrays and hidden MLP activations but the first for the backward
+pass; the first hidden activation and the conditioner output are one
+array each that all blocks share, and the backward pass computes each
+block's first hidden activation again (see Workspace).  The backward pass
+runs in the same call as its forward pass and computes in the memory of
+activations it no longer needs.
 
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
@@ -56,8 +56,8 @@ from functools import partial
 import numpy as np
 
 from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
-                       blas_threads, init_mlp_params, mlp_backward, mlp_forward, require_ints,
-                       require_positive_reals, run_tasks)
+                       blas_threads, dense, init_mlp_params, mlp_backward, mlp_forward,
+                       require_ints, require_positive_reals, run_tasks)
 from .errors import DimensionError, FormatError, NumericError
 from .oracle import LOG_2PI
 
@@ -158,11 +158,11 @@ class _CouplingArrays:
     """The arrays of one coupling step of up to `rows` rows: the
     conditioning and transformed halves of the permuted input, tanh(raw /
     alpha) (in exp_s's memory unless kept for a backward pass), the exp of
-    the clamped log-scale and the output of each conditioner layer, the
-    last of which, the raw log-scale and shift, is `raw`, which the
-    workspace shares among its coupling blocks."""
+    the clamped log-scale and the output of each conditioner layer, of
+    which the first (hidden) and the last (the raw log-scale and shift)
+    are the workspace's `shared` arrays, keyed by layer index."""
 
-    def __init__(self, model: FlowModel, rows: int, keep_th: bool, raw: Array):
+    def __init__(self, model: FlowModel, rows: int, keep_th: bool, shared: dict[int, Array]):
         spec = model.blocks[0].subnet
         d_trans = model.dim - spec.in_width
         self.cond = np.empty((rows, spec.in_width))
@@ -170,7 +170,8 @@ class _CouplingArrays:
         self.exp_s = np.empty((rows, d_trans))
         # tanh is needed only until the log-scale is formed, unless kept
         self.th = np.empty((rows, d_trans)) if keep_th else self.exp_s
-        self.layers = [np.empty((rows, fan_out)) for _, fan_out in spec.layer_dims()[:-1]] + [raw]
+        self.layers = [shared[layer] if layer in shared else np.empty((rows, fan_out))
+                       for layer, (_, fan_out) in enumerate(spec.layer_dims())]
 
 
 class Workspace:
@@ -182,22 +183,27 @@ class Workspace:
     computes in.  A cached one, which a training fit keeps for its cached
     passes, has a set per coupling block, which the backward pass reads,
     and the backward pass's own memory.  Either way the coupling blocks
-    share one conditioner-output array: a forward pass reads a block's
-    raw log-scale and shift only before the next block's conditioner
-    runs, and the backward pass reads none of it, but writes each block's
-    output gradient there before its conditioner's backward pass reads
-    it.  A pass over fewer rows uses the first rows of each array."""
+    share the conditioner's first hidden activation and its output.  A
+    forward pass reads a block's raw log-scale and shift only before the
+    next block's conditioner runs, and the backward pass writes each
+    block's output gradient there.  The next block's conditioner
+    overwrites a block's first hidden activation, so the backward pass
+    computes it again from the block's kept `cond`: one rows x ceil(D/2)
+    x width matmul per block but the last, for (n_blocks - 1) x rows x
+    width floats fewer.  A pass over fewer rows uses the first rows of
+    each array."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         self.rows = rows
-        raw = np.empty((rows, model.blocks[0].subnet.out_width))
+        dims = model.blocks[0].subnet.layer_dims()
+        shared = {layer: np.empty((rows, dims[layer][1])) for layer in (0, len(dims) - 1)}
         if cached:
-            self.blocks = [_CouplingArrays(model, rows, True, raw) for _ in model.blocks]
+            self.blocks = [_CouplingArrays(model, rows, True, shared) for _ in model.blocks]
             # the latent gradient of every other block of a backward pass
             self.grad = np.empty((rows, model.dim))
             self.mlp = MlpScratch(model.blocks[0].subnet, rows)
         else:
-            self.blocks = [_CouplingArrays(model, rows, False, raw)] * model.n_blocks
+            self.blocks = [_CouplingArrays(model, rows, False, shared)] * model.n_blocks
         # the latent and log-determinant of a pass
         self.z = np.empty((rows, model.dim))
         self.logdet = np.empty(rows)
@@ -347,16 +353,23 @@ def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: A
                    dld: Array, grads: FlatViews, add: bool) -> None:
     """Write (or with `add`, add) to grads the gradients of
     sum_i [g_i . z_i + dld_i * logdet_i] w.r.t. all parameters, where g,
-    the latent gradient, is in the first rows of ws.z.  Every step computes
-    in ws memory that the pass no longer needs: the conditioner's output
-    gradient in the shared conditioner output, 1 - th^2 in th, the
+    the latent gradient, is in the first rows of ws.z.  Each block's first
+    hidden activation, but the last block's, which is still in place, is
+    computed again from its cond by diffcore.dense, with the forward pass's
+    bits, just before the block's conditioner backward.  Every step
+    computes in ws memory that the pass no longer needs: the conditioner's
+    output gradient in the shared conditioner output, 1 - th^2 in th, the
     conditioner's input gradient in cond, and each block's input gradient
     in whichever of ws.z and ws.grad does not hold its output gradient."""
     n = g.shape[0]
     spare = ws.grad[:n]
+    params = model.store.params
     for block, mlp_cache in zip(reversed(model.blocks), reversed(caches)):
         w = ws.blocks[block.index]
         trans, th, exp_s = w.trans[:n], w.th[:n], w.exp_s[:n]
+        if block.subnet.n_hidden_layers and block is not model.blocks[-1]:
+            dense(w.cond[:n], params[block.prefix + "w0"], params[block.prefix + "b0"],
+                  block.subnet.activation, out=w.layers[0][:n])
         g_out = g[:, block.d_cond:]
         d_raw = w.layers[-1][:n]
         d_s = np.multiply(g_out, trans, out=d_raw[:, :block.d_trans])

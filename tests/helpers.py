@@ -1,18 +1,20 @@
 """Reference implementations that tests compare the package against: a
 central-difference gradient, the trapezoid area under ROC points, the
-contrastive objective in two passes over its contrastive batch, the Adam
-step one parameter at a time and the closed-form support of the positive
-difference of two 1-D Gaussians; and a ParamStore built from arrays."""
+cached flow pass with a conditioner cache of its own per coupling block,
+the contrastive objective in two passes over its contrastive batch, the
+Adam step one parameter at a time and the closed-form support of the
+positive difference of two 1-D Gaussians; and a ParamStore built from
+arrays."""
 
 import math
 from typing import Callable
 
 import numpy as np
 
-from cnflow.diffcore import ParamStore
+from cnflow.diffcore import FlatViews, ParamStore, mlp_backward, mlp_forward
 from cnflow.errors import DimensionError, NumericError
 from cnflow.flows import FlowModel, log_prob, weighted_nll_grad
-from cnflow.oracle import GaussianSpec
+from cnflow.oracle import LOG_2PI, GaussianSpec
 
 Array = np.ndarray
 
@@ -55,6 +57,40 @@ def finite_difference_grad(loss_fn: Callable[[], float], store: ParamStore,
 def roc_area(points: Array) -> float:
     """Trapezoid area under (fpr, tpr) points, as metrics.roc_curve gives them."""
     return float(np.trapezoid(points[:, 1], points[:, 0]))
+
+
+def per_block_nll_with_backward(model: FlowModel, x: Array, weights: Array,
+                                into: FlatViews | None = None) -> tuple[Array, FlatViews]:
+    """The per-sample NLL of the rows of x and the gradient of
+    sum_i weights_i * nll_i (added into `into` when one is given), as
+    flows.nll_with_backward computes them, but with fresh arrays
+    throughout: each coupling block's conditioner runs through mlp_forward
+    and mlp_backward with a cache of its own, so no activation is shared
+    between blocks or computed again."""
+    z = np.asarray(x, dtype=np.float64)
+    alpha = model.config.clamp_alpha
+    logdet = np.zeros(z.shape[0])
+    kept = []
+    for block in model.blocks:
+        cond, trans = z[:, block.perm[:block.d_cond]], z[:, block.perm[block.d_cond:]]
+        raw, cache = mlp_forward(model.store, block.subnet, cond, block.prefix)
+        th = np.tanh(raw[:, :block.d_trans] / alpha)
+        s = alpha * th
+        logdet += s.sum(axis=1)
+        exp_s = np.exp(s)
+        z = np.concatenate([cond, trans * exp_s + raw[:, block.d_trans:]], axis=1)
+        kept.append((block, cache, trans, th, exp_s))
+    nll = 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
+    g, dld = weights[:, None] * z, -weights
+    grads = model.store.new_grad() if into is None else into
+    for block, cache, trans, th, exp_s in reversed(kept):
+        g_cond, g_out = g[:, :block.d_cond], g[:, block.d_cond:]
+        d_s = (g_out * trans * exp_s + dld[:, None]) * (1.0 - th * th)
+        _, g_in = mlp_backward(cache, np.concatenate([d_s, g_out], axis=1), grads,
+                               into is not None)
+        g = np.empty_like(g)
+        g[:, block.perm] = np.concatenate([g_cond + g_in, g_out * exp_s], axis=1)
+    return nll, grads
 
 
 def two_pass_contrastive(model: FlowModel, pos: Array, neg: Array,

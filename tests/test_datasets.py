@@ -1,8 +1,12 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnflow import datasets
 from cnflow.datasets import (LABEL_CONTRASTIVE, LABEL_INLIER, FeatureSet,
                              MixSpec, cluster_benchmark, gen_gaussian,
                              hypersphere_normalize, load_features,
@@ -212,6 +216,70 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError):
         load_features(path)
+
+
+def _float32_payload_set(rng, n, dim, labelled):
+    """A FeatureSet of finite float32 values of every kind (random bit
+    patterns: subnormals, -0.0, huge and tiny), which the binary format
+    stores exactly, and the bytes of its payload."""
+    bits = rng.integers(0, 2 ** 32, n * dim, dtype=np.uint32)
+    bits[(bits >> 23 & 0xFF) == 0xFF] &= 0xBFFFFFFF  # no inf or nan
+    values = bits.view("<f4").reshape(n, dim)
+    labels = rng.integers(0, 3, n).astype(np.int8) if labelled else None
+    return FeatureSet(values.astype(np.float64), labels), values.tobytes()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+@pytest.mark.parametrize("n, dim", [(7, 2), (5, 3), (9, 10), (1, 23)])
+def test_chunked_binary_load_is_bitwise_one_conversion(tmp_path, monkeypatch, n, dim, labelled):
+    # chunks of 7 values: n * D a multiple of the chunk (14), not one (15,
+    # 90) and rows wider than one chunk (10, 23)
+    monkeypatch.setattr(datasets, "_LOAD_CHUNK", 7)
+    fs, payload = _float32_payload_set(np.random.default_rng(n * dim), n, dim, labelled)
+    path = tmp_path / "chunks.cftr"
+    save_features(fs, path)
+    loaded = load_features(path)
+    want = np.frombuffer(payload, dtype="<f4").reshape(n, dim).astype(np.float64)
+    assert loaded.data.dtype == np.float64 and loaded.data.shape == (n, dim)
+    assert np.array_equal(loaded.data.view(np.uint64), want.view(np.uint64))
+    if labelled:
+        assert np.array_equal(loaded.labels, fs.labels)
+    else:
+        assert loaded.labels is None
+
+
+@pytest.mark.parametrize("cut", [1, 4 * 3 + 1, 4 * 6 * 3 + 2])
+def test_a_file_shorter_than_its_checked_size_raises_format_error(tmp_path, monkeypatch, cut):
+    # a file that shrinks after its size is checked: cut inside its labels,
+    # inside its last payload chunk or inside an earlier one
+    monkeypatch.setattr(datasets, "_LOAD_CHUNK", 4)
+    path = tmp_path / "short.cftr"
+    save_features(FeatureSet(np.ones((6, 3)), np.zeros(6, dtype=np.int8)), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FormatError, match="ended inside its (labels|payload)"), \
+            monkeypatch.context() as mp:
+        mp.setattr(datasets.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        load_features(path)
+
+
+def test_a_binary_load_holds_little_beyond_its_rows(tmp_path):
+    # tracemalloc peak of loading a 16384 x 128 labelled file, in its
+    # float64 rows: the payload is read through one bounded buffer and
+    # finiteness is checked chunk by chunk (reading the payload whole, then
+    # converting it and checking it with a whole-size mask, peaks at 1.6x)
+    n, dim = 16384, 128
+    rng = np.random.default_rng(0)
+    path = tmp_path / "large.cftr"
+    save_features(FeatureSet(rng.standard_normal((n, dim)), rng.integers(0, 3, n)), path)
+    tracemalloc.start()
+    try:
+        loaded = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.data.shape == (n, dim)
+    assert peak <= 1.05 * loaded.data.nbytes
 
 
 def test_binary_bad_magic(tmp_path):

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import diffcore
+from cnflow.datasets import FeatureSet
 from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch, init_mlp_params,
                              mlp_backward, mlp_forward)
-from cnflow.errors import DimensionError, NumericError
+from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 from helpers import finite_difference_grad, per_name_adam_step, store_of
 
 
@@ -491,3 +492,20 @@ def test_run_tasks_restores_the_blas_thread_count_after_a_raise():
     assert seen == [1, 1]
     assert diffcore.blas_threads() == blas
     assert not diffcore._BLAS_LOCK.locked()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 1), (3, 5), (4, 7)])
+def test_the_chunked_finiteness_check_sees_every_entry(monkeypatch, shape):
+    # chunks of 7 entries: sizes below, at and between multiples of a chunk;
+    # FeatureSet and as_batch raise on a bad entry in any chunk
+    monkeypatch.setattr(diffcore, "_FINITE_CHUNK", 7)
+    assert diffcore.all_finite(np.ones(shape))
+    for i in range(math.prod(shape)):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.ones(shape)
+            a.flat[i] = bad
+            assert not diffcore.all_finite(a)
+            with pytest.raises(NumericError, match="input batch contains non-finite values"):
+                as_batch(a)
+            with pytest.raises(DegenerateDataError, match="contains non-finite entries"):
+                FeatureSet(a)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cnflow import diffcore, flows
 from cnflow.errors import DimensionError, FormatError, NumericError
 from cnflow.training import nll_objective
-from helpers import finite_difference_grad
+from helpers import finite_difference_grad, per_block_nll_with_backward
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -259,9 +259,10 @@ def test_log_prob_peak_memory_is_one_block_per_worker(monkeypatch):
 def test_cached_pass_keeps_each_hidden_activation_once():
     # tracemalloc peak of the cached forward pass of 2048x8 rows under a
     # model of 2 blocks with 2 hidden layers of width 256, in hidden
-    # activations of the batch: the 4 activations the backward pass needs
-    # plus 0.24 of coupling arrays (4.24 measured; 8.24 when a
-    # pre-activation was kept beside each)
+    # activations of the batch: each block's second hidden activation and
+    # one first hidden activation that both blocks share, plus 0.52 of
+    # coupling arrays (3.52 measured; 4.52 with a first hidden activation
+    # per block)
     model = flows.init_model(8, n_blocks=2, hidden_width=256, seed=0)
     x = np.random.default_rng(0).standard_normal((2048, 8))
     flows.nll_with_backward(model, x[:4], lambda nll: None)
@@ -272,17 +273,19 @@ def test_cached_pass_keeps_each_hidden_activation_once():
     finally:
         tracemalloc.stop()
     assert kept[0].shape == (2048,)
-    assert peak / (2048 * 256 * 8) < 5
+    assert peak / (2048 * 256 * 8) < 4
 
 
 def test_a_cached_workspace_holds_one_conditioner_output_array():
-    # the traced bytes of seven more coupling blocks are seven sets of
-    # per-block arrays without the conditioner output: each block adding
-    # an output array of its own would add 7 x 64 KiB more
-    rows, dim = 512, 16
+    # the coupling blocks share the conditioner output and the first hidden
+    # activation, so the traced bytes of seven more blocks are seven sets
+    # of cond, trans, exp_s, th and the second hidden activation: each
+    # block adding an output array of its own would add 7 x 64 KiB more,
+    # and a first hidden array of its own 7 x 128 KiB
+    rows, dim, hidden = 512, 16, 32
 
     def traced(n_blocks):
-        model = small_model(dim=dim, n_blocks=n_blocks, hidden=32)
+        model = small_model(dim=dim, n_blocks=n_blocks, hidden=hidden)
         tracemalloc.start()
         try:
             workspace = flows.Workspace(model, rows, cached=True)
@@ -293,11 +296,13 @@ def test_a_cached_workspace_holds_one_conditioner_output_array():
     one, _ = traced(1)
     eight, workspace = traced(8)
     w = workspace.blocks[0]
-    per_block = sum(a.nbytes for a in (w.cond, w.trans, w.exp_s, w.th, *w.layers[:-1]))
-    output = w.layers[-1].nbytes
-    assert output == rows * dim * 8
-    assert 7 * per_block <= eight - one < 7 * per_block + output
-    assert all(b.layers[-1] is w.layers[-1] for b in workspace.blocks)
+    first, second, output = w.layers
+    assert first.shape == second.shape == (rows, hidden) and output.shape == (rows, dim)
+    per_block = sum(a.nbytes for a in (w.cond, w.trans, w.exp_s, w.th, second))
+    assert 7 * per_block <= eight - one < 7 * per_block + output.nbytes
+    assert all(b.layers[0] is first and b.layers[-1] is output for b in workspace.blocks)
+    own = [(b.cond, b.trans, b.exp_s, b.th, b.layers[1]) for b in workspace.blocks]
+    assert len({id(a) for arrays in own for a in arrays}) == 5 * len(own)
 
 
 def test_a_short_workspace_or_weights_of_the_wrong_length_raise():
@@ -360,6 +365,36 @@ def test_nll_with_backward_weighs_the_nll_it_returns(dim, hidden, n_blocks, rows
         assert np.array_equal(grads.flat, before + want.flat)
     else:
         assert np.array_equal(grads.flat, want.flat)
+
+
+@pytest.mark.parametrize("into", [False, True])
+@pytest.mark.parametrize("spare_rows", [0, 9])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+def test_nll_with_backward_matches_blocks_with_caches_of_their_own(activation, dim, spare_rows,
+                                                                    into):
+    # the shared first hidden activation, computed again before each
+    # block's backward, gives the bits of a pass in which every block keeps
+    # its own; the workspace first runs a full-size pass over other rows,
+    # so that a shorter batch finds stale rows below its own
+    model = small_model(dim=dim, n_blocks=4, hidden=16, seed=dim, activation=activation)
+    perturb(model, seed=dim)
+    rng = np.random.default_rng(dim)
+    rows = 37
+    x, weights = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
+    workspace = flows.Workspace(model, rows + spare_rows, cached=True)
+    flows.nll_with_backward(model, rng.standard_normal((rows + spare_rows, dim)),
+                            lambda nll: np.ones_like(nll), workspace=workspace)
+    base = flows.weighted_nll_grad(model, rng.standard_normal((3, dim)), np.ones(3))[1]
+
+    def start():
+        return diffcore.FlatViews(model.store.shapes, base.flat.copy()) if into else None
+
+    nll, grads = flows.nll_with_backward(model, x, lambda nll: weights, into=start(),
+                                         workspace=workspace)
+    want_nll, want = per_block_nll_with_backward(model, x, weights, into=start())
+    assert np.array_equal(nll, want_nll)
+    assert np.array_equal(grads.flat, want.flat)
 
 
 # --- parallel row blocks ----------------------------------------------------

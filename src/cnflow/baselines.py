@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import as_batch
+from .diffcore import as_batch, require_finite
 from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import FlowModel, log_prob
 
@@ -28,19 +28,12 @@ class MseModel:
             if self.mean_contr.shape != self.mean_in.shape:
                 raise DimensionError("contrastive mean dimension mismatch")
         for which, mean in (("inlier", self.mean_in), ("contrastive", self.mean_contr)):
-            if mean is not None and not np.all(np.isfinite(mean)):
-                raise DegenerateDataError(f"{which} mean is not finite")
+            if mean is not None:
+                require_finite(mean, DegenerateDataError, f"{which} mean is not finite")
 
     @property
     def dim(self) -> int:
         return self.mean_in.shape[0]
-
-
-def _finite(scores: Array) -> Array:
-    """scores, unless a squared distance overflowed (finite but huge rows)."""
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite MSE score")
-    return scores
 
 
 def fit_mse(train_in, train_contr=None) -> MseModel:
@@ -52,8 +45,10 @@ def fit_mse(train_in, train_contr=None) -> MseModel:
 def mse_score(model: MseModel, x) -> Array:
     """||x - mean_in||^2 / D; higher = more outlier."""
     x = as_batch(x, model.dim)
+    # a squared distance overflows for finite but huge rows
     with np.errstate(over="ignore"):
-        return _finite(np.sum((x - model.mean_in) ** 2, axis=1) / model.dim)
+        return require_finite(np.sum((x - model.mean_in) ** 2, axis=1) / model.dim,
+                              NumericError, "non-finite MSE score")
 
 
 def mse_ratio_score(model: MseModel, x) -> Array:
@@ -64,7 +59,7 @@ def mse_ratio_score(model: MseModel, x) -> Array:
     with np.errstate(over="ignore", invalid="ignore"):
         d_in = np.sum((x - model.mean_in) ** 2, axis=1)
         d_contr = np.sum((x - model.mean_contr) ** 2, axis=1)
-        return _finite((d_in - d_contr) / model.dim)
+        return require_finite((d_in - d_contr) / model.dim, NumericError, "non-finite MSE score")
 
 
 def ratio_score(flow_in: FlowModel, flow_contr: FlowModel, x) -> Array:

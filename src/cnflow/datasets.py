@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import all_finite
+from .diffcore import all_finite, require_finite
 from .errors import DegenerateDataError, DimensionError, FormatError
 from .oracle import GaussianSpec
 
@@ -167,10 +167,16 @@ def split(fs: FeatureSet, fractions: Sequence[float], seed: int) -> tuple[Featur
 def save_features(fs: FeatureSet, path, format: str | None = None) -> None:
     fmt = _resolve_format(path, format)
     if fmt == "binary":
+        # checked before the file is opened, so a refused save leaves an
+        # existing file as it was
+        for chunk in _float32_chunks(fs.data):
+            require_finite(chunk, DegenerateDataError, "feature values lie beyond the float32 "
+                           f"range +-{np.finfo(np.float32).max:.8g} of a binary feature file")
         flags = 1 if fs.labels is not None else 0
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, fs.dim, fs.n, flags))
-            fh.write(np.ascontiguousarray(fs.data, dtype="<f4").tobytes())
+            for chunk in _float32_chunks(fs.data):
+                fh.write(chunk)
             if fs.labels is not None:
                 fh.write(fs.labels.astype(np.uint8).tobytes())
     else:
@@ -248,9 +254,23 @@ def load_features(path, format: str | None = None) -> FeatureSet:
         return FeatureSet(data, np.array(labels, dtype=np.int8) if has_labels else None)
 
 
-# float32 values per read of a binary payload: the one buffer a load holds
-# beyond its rows is 256 KiB
+# float32 values per read or write of a binary payload: the one buffer a
+# load or save holds beyond the rows is 256 KiB
 _LOAD_CHUNK = 65536
+
+
+def _float32_chunks(data: Array):
+    """The values of the C-contiguous float64 array data, row-major, cast
+    to little-endian float32 in consecutive chunks of _LOAD_CHUNK values
+    that share one buffer, so each chunk is valid until the next.  A value
+    beyond the float32 range casts to +-inf, without numpy's warning."""
+    flat = data.reshape(-1)
+    buf = np.empty(min(flat.size, _LOAD_CHUNK), dtype="<f4")
+    for lo in range(0, flat.size, _LOAD_CHUNK):
+        chunk = buf[:min(_LOAD_CHUNK, flat.size - lo)]
+        with np.errstate(over="ignore"):
+            chunk[...] = flat[lo:lo + chunk.size]
+        yield chunk
 
 
 def _read_float32_rows(fh, n: int, dim: int) -> Array:

@@ -161,9 +161,7 @@ def as_batch(x, cols: int | None = None) -> Array:
         raise DimensionError(f"expected a 2-D batch, got ndim={a.ndim}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"expected {cols} columns, got {a.shape[1]}")
-    if not all_finite(a):
-        raise NumericError("input batch contains non-finite values")
-    return a
+    return require_finite(a, NumericError, "input batch contains non-finite values")
 
 
 # elements per chunk of a finiteness check, whose mask is then 64 KiB
@@ -171,12 +169,20 @@ def as_batch(x, cols: int | None = None) -> Array:
 _FINITE_CHUNK = 65536
 
 
-def all_finite(a: Array) -> bool:
-    """Whether every entry of the C-contiguous array a is finite, checked
-    chunk by chunk, so that no mask is the size of a."""
-    flat = a.reshape(-1)
+def all_finite(a) -> bool:
+    """Whether every entry of a, a C-contiguous array or a scalar, is
+    finite, checked chunk by chunk, so that no mask is the size of a."""
+    flat = np.asarray(a).reshape(-1)
     return all(np.isfinite(flat[lo:lo + _FINITE_CHUNK]).all()
                for lo in range(0, flat.size, _FINITE_CHUNK))
+
+
+def require_finite(a, error: type[Exception], message: str):
+    """a, unless one of its entries is not finite (see all_finite): then
+    error(message), the exception of the place that calls it."""
+    if not all_finite(a):
+        raise error(message)
+    return a
 
 
 @dataclass
@@ -423,9 +429,9 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
         raise DimensionError("the gradient must be a FlatViews of the store's size")
     flat_g = grads.flat
     n = flat_g.size
-    if not all_finite(flat_g):
-        bad = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
-        raise NumericError(f"non-finite gradient for {bad!r}; parameters unchanged")
+    if not all_finite(flat_g):  # name the first parameter whose gradient is not finite
+        for name, g in grads.items():
+            require_finite(g, NumericError, f"non-finite gradient for {name!r}; parameters unchanged")
     t = store.step + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t

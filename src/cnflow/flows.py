@@ -57,7 +57,7 @@ import numpy as np
 
 from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
                        blas_threads, dense, init_mlp_params, mlp_backward, mlp_forward,
-                       require_ints, require_positive_reals, run_tasks)
+                       require_finite, require_ints, require_positive_reals, run_tasks)
 from .errors import DimensionError, FormatError, NumericError
 from .oracle import LOG_2PI
 
@@ -189,9 +189,8 @@ class Workspace:
     block's output gradient there.  The next block's conditioner
     overwrites a block's first hidden activation, so the backward pass
     computes it again from the block's kept `cond`: one rows x ceil(D/2)
-    x width matmul per block but the last, for (n_blocks - 1) x rows x
-    width floats fewer.  A pass over fewer rows uses the first rows of
-    each array."""
+    x width matmul per block, for (n_blocks - 1) x rows x width floats
+    fewer.  A pass over fewer rows uses the first rows of each array."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         self.rows = rows
@@ -223,7 +222,7 @@ def _coupling(model: FlowModel, block: CouplingBlock, w: _CouplingArrays, n: int
 
 def _nll(model: FlowModel, z: Array, logdet: Array) -> Array:
     """Per-sample NLL = ||z||^2 / 2 + D/2 log(2 pi) - logdet."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # ||z||^2 overflows for finite but huge z; callers check
         return 0.5 * np.sum(z * z, axis=1) + 0.5 * model.dim * LOG_2PI - logdet
 
 
@@ -252,8 +251,7 @@ def _forward_pass(model: FlowModel, x: Array, z: Array, logdet: Array,
         z[:, :block.d_cond] = cond
         np.multiply(trans, exp_s, out=z[:, block.d_cond:])
         z[:, block.d_cond:] += t
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite values after coupling block {block.index}")
+        require_finite(z, NumericError, f"non-finite values after coupling block {block.index}")
         caches.append(mlp_cache)
         z_in = z
     return caches
@@ -278,8 +276,7 @@ def _inverse_pass(model: FlowModel, x: Array, z: Array, logdet: Array, ws: Works
         # column k of its permuted input
         z[:, block.perm[:block.d_cond]] = cond
         z[:, block.perm[block.d_cond:]] = back
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite values inverting block {block.index}")
+        require_finite(z, NumericError, f"non-finite values inverting block {block.index}")
         z_in = z
 
 
@@ -316,20 +313,12 @@ def forward_latent(model: FlowModel, x) -> tuple[Array, Array]:
     return z, logdet
 
 
-def _finite(nll: Array) -> Array:
-    """nll, unless a row's is not finite: ||z||^2 overflows for finite but
-    huge z."""
-    if not np.all(np.isfinite(nll)):
-        raise NumericError("non-finite negative log-likelihood")
-    return nll
-
-
 def log_prob(model: FlowModel, x) -> Array:
     """log p(x) = -||z||^2 / 2 - D/2 log(2 pi) + logdet, per sample."""
     x = as_batch(x, model.dim)
     nll = np.empty(x.shape[0])
     _by_row_blocks(model, x, _nll_rows, nll)
-    return -_finite(nll)
+    return -require_finite(nll, NumericError, "non-finite negative log-likelihood")
 
 
 def inverse(model: FlowModel, z, return_logdet: bool = False):
@@ -349,25 +338,27 @@ def sample(model: FlowModel, n: int, seed: int) -> Array:
     return inverse(model, rng.standard_normal((n, model.dim)))
 
 
+# inf and nan in the gradient are reported by adam_step's finiteness check
+@np.errstate(over="ignore", invalid="ignore")
 def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: Array,
                    dld: Array, grads: FlatViews, add: bool) -> None:
     """Write (or with `add`, add) to grads the gradients of
     sum_i [g_i . z_i + dld_i * logdet_i] w.r.t. all parameters, where g,
     the latent gradient, is in the first rows of ws.z.  Each block's first
-    hidden activation, but the last block's, which is still in place, is
-    computed again from its cond by diffcore.dense, with the forward pass's
-    bits, just before the block's conditioner backward.  Every step
-    computes in ws memory that the pass no longer needs: the conditioner's
-    output gradient in the shared conditioner output, 1 - th^2 in th, the
-    conditioner's input gradient in cond, and each block's input gradient
-    in whichever of ws.z and ws.grad does not hold its output gradient."""
+    hidden activation is computed again from its cond by diffcore.dense,
+    with the forward pass's bits, just before the block's conditioner
+    backward.  Every step computes in ws memory that the pass no longer
+    needs: the conditioner's output gradient in the shared conditioner
+    output, 1 - th^2 in th, the conditioner's input gradient in cond, and
+    each block's input gradient in whichever of ws.z and ws.grad does not
+    hold its output gradient."""
     n = g.shape[0]
     spare = ws.grad[:n]
     params = model.store.params
     for block, mlp_cache in zip(reversed(model.blocks), reversed(caches)):
         w = ws.blocks[block.index]
         trans, th, exp_s = w.trans[:n], w.th[:n], w.exp_s[:n]
-        if block.subnet.n_hidden_layers and block is not model.blocks[-1]:
+        if block.subnet.n_hidden_layers:
             dense(w.cond[:n], params[block.prefix + "w0"], params[block.prefix + "b0"],
                   block.subnet.activation, out=w.layers[0][:n])
         g_out = g[:, block.d_cond:]
@@ -408,7 +399,7 @@ def nll_with_backward(model: FlowModel, x, weigh: Callable[[Array], Array | None
         raise DimensionError(f"a workspace of {ws.rows} rows cannot hold a batch of {n}")
     z, logdet = ws.z[:n], ws.logdet[:n]
     caches = _forward_pass(model, x, z, logdet, ws)
-    nll = _finite(_nll(model, z, logdet))
+    nll = require_finite(_nll(model, z, logdet), NumericError, "non-finite negative log-likelihood")
     weights = weigh(nll)
     if weights is None:
         return nll, into

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import FlatViews, adam_step, as_batch, require_ints, require_positive_reals
+from .diffcore import (FlatViews, adam_step, as_batch, require_finite, require_ints,
+                       require_positive_reals)
 from .errors import DegenerateDataError, NumericError
 from .flows import FlowModel, Workspace, log_prob, nll_with_backward, weighted_nll_grad
 
@@ -77,6 +78,12 @@ class TrainHistory:
         }
 
 
+def _mean(values, what: str) -> float:
+    """The mean of finite values; NumericError, not numpy's warning, when their sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(float(np.mean(values)), NumericError, f"{what} is non-finite")
+
+
 def nll_objective(model: FlowModel, batch, *,
                   workspace: Workspace | None = None) -> tuple[float, FlatViews]:
     """Mean NLL and its exact gradients, from a pass in `workspace` (a
@@ -86,10 +93,7 @@ def nll_objective(model: FlowModel, batch, *,
         raise DegenerateDataError("empty batch")
     n = batch.shape[0]
     nll, grads = weighted_nll_grad(model, batch, np.full(n, 1.0 / n), workspace=workspace)
-    loss = float(nll.mean())
-    if not math.isfinite(loss):
-        raise NumericError("NLL loss is non-finite")
-    return loss, grads
+    return _mean(nll, "NLL loss"), grads
 
 
 def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
@@ -119,10 +123,8 @@ def contrastive_objective(model: FlowModel, pos_batch, neg_batch, tau: float, *,
     # added layer by layer into the inlier gradient: the sum is
     # elementwise pos + neg either way, so no bit changes
     nll_neg, grads = nll_with_backward(model, neg, weigh, into=grads, workspace=workspace)
-    loss = loss_pos - float(np.minimum(nll_neg, tau).mean())
-    if not math.isfinite(loss):
-        raise NumericError("contrastive loss is non-finite")
-    return loss, grads
+    loss = loss_pos - _mean(np.minimum(nll_neg, tau), "contrastive loss")
+    return require_finite(loss, NumericError, "contrastive loss is non-finite"), grads
 
 
 def proxy_auroc(model: FlowModel, inlier_val, contrastive_val) -> float:
@@ -230,7 +232,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
                 # freed now, not when the next step's gradient replaces it
                 del grads
                 losses.append(loss)
-            history.train_loss.append(float(np.mean(losses)))
+            history.train_loss.append(_mean(losses, "epoch loss"))
             metric = None
             proxy = None
             if val_in is not None and val_in.shape[0] > 0:
@@ -238,7 +240,7 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
                     proxy = proxy_auroc(model, val_in, val_c)
                     metric = proxy            # maximize
                 else:
-                    metric = float(np.mean(log_prob(model, val_in)))  # maximize log density
+                    metric = _mean(log_prob(model, val_in), "mean validation log density")  # maximize
             history.proxy_auroc.append(proxy)
             epoch = len(history.train_loss) - 1
             if early_stop and metric is not None:

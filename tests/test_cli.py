@@ -399,6 +399,7 @@ def _write_bad_input_files(tmp_path):
     (tmp_path / "label_300.csv").write_text("f0,f1,label\n1.0,2.0,300\n")
     (tmp_path / "nan.csv").write_text("f0,f1\n1.0,nan\n")
     (tmp_path / "huge.csv").write_text("f0,f1\n1e308,1e308\n")
+    (tmp_path / "big.csv").write_text("f0,f1\n1e150,1e150\n2e150,1e150\n1e150,3e150\n")
     save_features(datasets.FeatureSet(np.ones((2, 2)), [0, 1]), tmp_path / "byte.cftr")
     raw = (tmp_path / "byte.cftr").read_bytes()
     (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
@@ -453,6 +454,13 @@ BAD_INPUTS = {
     # a contrastive row whose NLL overflows under the initial model
     "contrastive_nll_overflow": ("train", {"data_path": "inl.csv", "contrastive_path": "huge.csv",
                                            "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
+    # a clamped mean that overflows: numpy's warning must not reach stderr
+    "toy1d_epsilon_1e308": ("toy1d", {"epsilon": 1e308}, 1),
+    "sweep_clamp_tau_-1e308": ("mu-sweep", {"methods": ["cf"], "reps": 1, "mu_grid": [0.5],
+                                            "train": {"max_epochs": 1, "clamp_tau": -1e308}}, 1),
+    # finite NLLs whose gradient overflows in the backward pass
+    "train_gradient_overflow": ("train", {"data_path": "big.csv", "objective": "nll",
+                                          "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
     "sweep_mu_grid_string": ("mu-sweep", {"mu_grid": "x"}, 2),
     "sweep_mu_grid_1.5": ("mu-sweep", {"mu_grid": [1.5]}, 2),
     "sweep_seed_-1": ("mu-sweep", {"seed": -1}, 2),

@@ -282,6 +282,55 @@ def test_a_binary_load_holds_little_beyond_its_rows(tmp_path):
     assert peak <= 1.05 * loaded.data.nbytes
 
 
+_F32_EDGE = 2.0 ** 128 - 2.0 ** 103  # the least value whose float32 cast is inf
+_F32_BELOW_EDGE = float(np.nextafter(_F32_EDGE, 0.0))  # cast to the float32 maximum
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-_F32_BELOW_EDGE, _F32_BELOW_EDGE) | st.sampled_from(
+           [_F32_BELOW_EDGE, -_F32_BELOW_EDGE]), min_size=1, max_size=40), st.integers(1, 9))
+def test_chunked_binary_save_is_bitwise_one_conversion(tmp_path_factory, values, chunk):
+    # float64 values that float32 rounds, up to the float32 maximum, cast
+    # chunk by chunk
+    data = np.array(values)[:, None]
+    path = tmp_path_factory.mktemp("save") / "chunks.cftr"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_LOAD_CHUNK", chunk)
+        save_features(FeatureSet(data), path)
+    assert path.read_bytes()[datasets._HEADER.size:] == data.astype("<f4").tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e39, -1e39, _F32_EDGE, -_F32_EDGE])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_save_beyond_the_float32_range_is_refused_before_the_file_opens(tmp_path, value,
+                                                                          existing):
+    # refused in the last of several chunks, leaving no file or the old one
+    path = tmp_path / "out.cftr"
+    if existing:
+        path.write_bytes(b"old")
+    data = np.ones((5, 3))
+    data[-1, -1] = value
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.raises(DegenerateDataError, match=r"float32 range \+-3.4028235e\+38"):
+        mp.setattr(datasets, "_LOAD_CHUNK", 4)
+        save_features(FeatureSet(data), path)
+    assert path.read_bytes() == b"old" if existing else not path.exists()
+
+
+def test_a_binary_save_holds_little_beyond_its_rows(tmp_path):
+    # the payload is cast and written through one 256 KiB buffer
+    data = np.random.default_rng(0).standard_normal((16384, 128))
+    fs = FeatureSet(data, np.zeros(16384, dtype=np.int8))
+    tracemalloc.start()
+    try:
+        save_features(fs, tmp_path / "large.cftr")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * data.nbytes
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.cftr"
     path.write_bytes(b"XXXX" + bytes(32))

@@ -499,13 +499,24 @@ def test_the_chunked_finiteness_check_sees_every_entry(monkeypatch, shape):
     # chunks of 7 entries: sizes below, at and between multiples of a chunk;
     # FeatureSet and as_batch raise on a bad entry in any chunk
     monkeypatch.setattr(diffcore, "_FINITE_CHUNK", 7)
-    assert diffcore.all_finite(np.ones(shape))
+    ones = np.ones(shape)
+    assert diffcore.all_finite(ones)
+    assert diffcore.require_finite(ones, LookupError, "where") is ones
     for i in range(math.prod(shape)):
         for bad in (np.nan, np.inf, -np.inf):
             a = np.ones(shape)
             a.flat[i] = bad
             assert not diffcore.all_finite(a)
+            with pytest.raises(LookupError, match="^where$"):
+                diffcore.require_finite(a, LookupError, "where")
             with pytest.raises(NumericError, match="input batch contains non-finite values"):
                 as_batch(a)
             with pytest.raises(DegenerateDataError, match="contains non-finite entries"):
                 FeatureSet(a)
+
+
+@pytest.mark.parametrize("value, finite", [(0.0, True), (-1e308, True), (np.float64(2.0), True),
+                                           (math.inf, False), (np.nan, False),
+                                           (np.float64(-np.inf), False)])
+def test_the_finiteness_check_takes_a_scalar(value, finite):
+    assert diffcore.all_finite(value) is finite

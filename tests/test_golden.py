@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cnflow import cli
 from cnflow.datasets import FeatureSet, gen_gaussian, save_features
@@ -131,6 +132,8 @@ def artifact_digests(tmp_path: Path) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+# a default config whose run starts to warn fails the gate
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_artifacts_match_golden_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
     got = artifact_digests(tmp_path)

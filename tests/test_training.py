@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cnflow import cli, flows, training
 from cnflow.diffcore import adam_step
-from cnflow.datasets import gen_gaussian
+from cnflow.datasets import FeatureSet, gen_gaussian, load_features, save_features
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 from cnflow.training import (FINETUNE_EPOCHS, TrainConfig, contrastive_objective, nll_objective,
                              proxy_auroc, select_epsilon, train)
@@ -360,6 +360,51 @@ def test_contrastive_overflowing_negative_row_raises():
     pos = np.random.default_rng(0).standard_normal((4, 2))
     with pytest.raises(NumericError, match="non-finite negative log-likelihood"):
         contrastive_objective(model, pos, np.array([[1e308, 1e308]]), 0.0)
+
+
+def _csv_rows(tmp_path, n, value):
+    """n 2-d rows of `value` in each column, read from a CSV feature file."""
+    path = tmp_path / "rows.csv"
+    save_features(FeatureSet(np.full((n, 2), value)), path)
+    return load_features(path)
+
+
+# each NLL below is finite but their sum is not, and neither the overflow
+# nor a non-finite gradient of the backward pass may warn first
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_nll_mean_raises_without_a_warning(tmp_path):
+    # ||z||^2 / 2 = 1e306 per row under the initial model, 256 rows
+    model = flows.init_model(2, 2, 5)
+    with pytest.raises(NumericError, match="^NLL loss is non-finite$"):
+        nll_objective(model, _csv_rows(tmp_path, 256, 1e153))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, tau", [(1e153, 1e308), (1.0, -1e308)])
+def test_an_overflowing_clamped_mean_raises_without_a_warning(tmp_path, value, tau):
+    # 256 clamped NLLs of 1e306 each, all below the clamp, so the backward
+    # pass runs over them too; or 256 clamped at tau = -1e308
+    model = flows.init_model(2, 2, 5)
+    pos = np.random.default_rng(0).standard_normal((4, 2))
+    with pytest.raises(NumericError, match="^contrastive loss is non-finite$"):
+        contrastive_objective(model, pos, _csv_rows(tmp_path, 256, value), tau)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mean", ["epoch loss", "mean validation log density"])
+def test_an_overflowing_mean_of_train_raises_without_a_warning(monkeypatch, mean):
+    inl = gen_gaussian([0.0, 0.0], 1.0, 40, seed=1)
+    if mean == "epoch loss":
+        # one contrastive row clamped at -1e308 makes each step's loss
+        # about 1e308, so the mean of two steps overflows
+        con = np.zeros((1, 2))
+        cfg = TrainConfig(batch_size=20, max_epochs=1, clamp_tau=-1e308, val_fraction=0.0)
+    else:
+        con = None
+        cfg = TrainConfig(batch_size=20, max_epochs=1, val_fraction=0.25, objective="nll")
+        monkeypatch.setattr(training, "log_prob", lambda model, x: np.full(x.shape[0], -1e308))
+    with pytest.raises(NumericError, match=f"^{mean} is non-finite$"):
+        train(flows.init_model(2, 2, 5), inl, con, cfg)
 
 
 def test_train_zero_epochs_returns_input_model():

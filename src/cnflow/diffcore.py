@@ -237,10 +237,12 @@ class ParamStore:
     from the shape of every parameter; the parameters start at zero.
 
     `params`, `m` and `v` are FlatViews over three flat arrays.  m and v
-    are allocated on first use, so a model only scored never holds them:
-    np.zeros is calloc, whose pages stay untouched only while the
-    allocator maps fresh ones, and once it reuses freed heap memory for a
-    large array it clears (and so touches) every page of it."""
+    are allocated on first use, so a model only scored never holds them,
+    and reset_optimizer releases them, so a fitted one holds them no
+    longer than its fit: np.zeros is calloc, whose pages stay untouched
+    only while the allocator maps fresh ones, and once it reuses freed
+    heap memory for a large array it clears (and so touches) every page
+    of it."""
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
         self.shapes = dict(shapes)
@@ -260,8 +262,10 @@ class ParamStore:
         return FlatViews(self.shapes)
 
     def reset_optimizer(self) -> None:
-        self.m.flat.fill(0.0)
-        self.v.flat.fill(0.0)
+        """Release both moment arrays and set step to 0: the next Adam
+        step allocates zero moments, as a new store's first step does."""
+        self.__dict__.pop("m", None)
+        self.__dict__.pop("v", None)
         self.step = 0
 
     def n_params(self) -> int:
@@ -419,19 +423,33 @@ def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = Non
 # 2-core x86-64)
 _ADAM_CHUNK = 65536
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
+# the largest gradient magnitude a step takes: g * g then stays finite, and
+# v / c2, a bias-corrected average of past squares, at or below 2**1022
+_MAX_GRAD = 2.0 ** 511
+
+
+def _gradient_in_range(flat: Array) -> bool:
+    """Whether every entry of the flat array lies within +-_MAX_GRAD (a NaN
+    does not), checked chunk by chunk."""
+    return all((np.abs(flat[lo:lo + _ADAM_CHUNK]) <= _MAX_GRAD).all()
+               for lo in range(0, flat.size, _ADAM_CHUNK))
 
 
 def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
     """In-place Adam update with bias correction from `grads`, a gradient
     laid out like the parameters (as `store.new_grad()` makes one); `grads`
-    is only read."""
+    is only read.  A gradient entry that is not finite or lies beyond
+    +-2**511 raises NumericError naming its parameter before anything is
+    updated."""
     if not isinstance(grads, FlatViews) or grads.flat.size != store.n_params():
         raise DimensionError("the gradient must be a FlatViews of the store's size")
     flat_g = grads.flat
     n = flat_g.size
-    if not all_finite(flat_g):  # name the first parameter whose gradient is not finite
+    if not _gradient_in_range(flat_g):  # name the first parameter whose gradient is out of range
         for name, g in grads.items():
-            require_finite(g, NumericError, f"non-finite gradient for {name!r}; parameters unchanged")
+            if not _gradient_in_range(g.reshape(-1)):
+                raise NumericError(f"non-finite or overlarge gradient for {name!r}; "
+                                   "parameters unchanged")
     t = store.step + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t

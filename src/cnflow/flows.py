@@ -338,7 +338,7 @@ def sample(model: FlowModel, n: int, seed: int) -> Array:
     return inverse(model, rng.standard_normal((n, model.dim)))
 
 
-# inf and nan in the gradient are reported by adam_step's finiteness check
+# inf and nan in the gradient are reported by adam_step's range check
 @np.errstate(over="ignore", invalid="ignore")
 def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: Array,
                    dld: Array, grads: FlatViews, add: bool) -> None:

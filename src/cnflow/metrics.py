@@ -71,12 +71,16 @@ def roc_curve(inlier_scores, outlier_scores) -> Array:
 
 def histogram(scores, n_bins: int, value_range: tuple[float, float]) -> tuple[Array, Array]:
     """Left-closed right-open bins (last bin closed); counts always sum to
-    len(scores): values outside the range are clipped into the edge bins."""
+    len(scores): values outside the range are clipped into the edge bins.
+    ValueError for a range whose width hi - lo is not finite, before numpy
+    sees it (its bin edges would overflow with a warning)."""
     lo, hi = float(value_range[0]), float(value_range[1])
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     if not (hi > lo):
         raise ValueError("invalid histogram range")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"histogram range [{lo!r}, {hi!r}] is wider than the largest float")
     scores = np.asarray(scores, dtype=np.float64)
     counts, edges = np.histogram(np.clip(scores, lo, hi), bins=n_bins, range=(lo, hi))
     return edges, counts

@@ -165,7 +165,19 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     given (e.g. held-out broad-source samples when the training
     contrastive set is a contaminated mixture), also for the nll
     objective; otherwise its split is carved out of the contrastive set.
+
+    The fit releases the model's Adam moments when it returns or raises,
+    so a fitted model holds only its parameters, and a second call on it
+    starts Adam afresh.
     """
+    try:
+        return _fit(model, inlier_set, contrastive_set, cfg, val_contrastive_set)
+    finally:
+        model.store.reset_optimizer()
+
+
+def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
+         val_contrastive_set) -> tuple[FlowModel, TrainHistory]:
     if cfg is None:
         cfg = TrainConfig()
     data_in = as_batch(inlier_set, model.dim)

@@ -400,6 +400,8 @@ def _write_bad_input_files(tmp_path):
     (tmp_path / "nan.csv").write_text("f0,f1\n1.0,nan\n")
     (tmp_path / "huge.csv").write_text("f0,f1\n1e308,1e308\n")
     (tmp_path / "big.csv").write_text("f0,f1\n1e150,1e150\n2e150,1e150\n1e150,3e150\n")
+    (tmp_path / "big_1d.csv").write_text("f0\n1e153\n-1e153\n")
+    (tmp_path / "wide.csv").write_text("score\n1e308\n-1e308\n")
     save_features(datasets.FeatureSet(np.ones((2, 2)), [0, 1]), tmp_path / "byte.cftr")
     raw = (tmp_path / "byte.cftr").read_bytes()
     (tmp_path / "byte.cftr").write_bytes(raw[:-1] + bytes([200]))
@@ -461,6 +463,14 @@ BAD_INPUTS = {
     # finite NLLs whose gradient overflows in the backward pass
     "train_gradient_overflow": ("train", {"data_path": "big.csv", "objective": "nll",
                                           "model": {"n_blocks": 1, "hidden_width": 4}}, 1),
+    # a finite gradient whose square overflows in the Adam step
+    "train_gradient_square_overflow": ("train", {"data_path": "big_1d.csv", "objective": "nll",
+                                                 "model": {"n_blocks": 1, "hidden_width": 4},
+                                                 "train": {"max_epochs": 2,
+                                                           "val_fraction": 0.0}}, 1),
+    # finite scores whose range is wider than the largest float
+    "eval_score_range_overflow": ("eval", {"inlier_scores": "wide.csv",
+                                           "outlier_scores": "ok.csv"}, 2),
     "sweep_mu_grid_string": ("mu-sweep", {"mu_grid": "x"}, 2),
     "sweep_mu_grid_1.5": ("mu-sweep", {"mu_grid": [1.5]}, 2),
     "sweep_seed_-1": ("mu-sweep", {"seed": -1}, 2),

@@ -240,6 +240,60 @@ def test_adam_nan_grad_leaves_params_unchanged():
     assert store.step == 0
 
 
+@pytest.mark.parametrize("bad", [np.inf, 2.0 ** 511 * (1 + 2 ** -52), -1e160])
+def test_adam_refuses_an_overlarge_gradient_and_changes_nothing(bad):
+    # a finite gradient whose square overflows would make v infinite and
+    # freeze its parameter; the step refuses it as it refuses a NaN
+    store = store_of({"p": np.array([1.0, -1.0]), "q": np.array([2.0])})
+    adam_step(store, grad_of(store, {"p": [0.5, -0.5], "q": [1.0]}), lr=1e-3)
+    before = [getattr(store, kind).flat.copy() for kind in ("params", "m", "v")]
+    with pytest.raises(NumericError, match="gradient for 'p'; parameters unchanged"):
+        adam_step(store, grad_of(store, {"p": [0.5, bad], "q": [1.0]}), lr=1e-3)
+    for kind, flat in zip(("params", "m", "v"), before):
+        assert getattr(store, kind).flat.tobytes() == flat.tobytes()
+    assert store.step == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(grads=st.lists(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+                      min_size=1, max_size=6),
+       lr=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_accepted_adam_steps_keep_the_store_finite(grads, lr, seed):
+    # a gradient with every entry within +-2**511, tiny, huge or 0, is
+    # accepted and leaves the moments and parameters finite, without a
+    # numpy warning; any other is refused and changes nothing
+    store = store_of({"p": np.random.default_rng(seed).uniform(-2.0, 2.0, size=3)})
+    for g in grads:
+        before = [kind.flat.copy() for kind in (store.params, store.m, store.v)]
+        step = store.step
+        if max(map(abs, g)) <= 2.0 ** 511:
+            adam_step(store, grad_of(store, {"p": g}), lr=lr)
+            assert store.step == step + 1
+        else:
+            with pytest.raises(NumericError, match="overlarge gradient for 'p'"):
+                adam_step(store, grad_of(store, {"p": g}), lr=lr)
+            assert store.step == step
+            for kind, flat in zip((store.params, store.m, store.v), before):
+                assert kind.flat.tobytes() == flat.tobytes()
+        for kind in (store.params, store.m, store.v):
+            assert np.all(np.isfinite(kind.flat))
+
+
+def test_reset_optimizer_releases_the_moments():
+    # the next step allocates zero moments, as a new store's first step does
+    store = store_of({"p": np.array([1.0, 2.0])})
+    fresh = store_of({"p": np.array([1.0, 2.0])})
+    grads = grad_of(store, {"p": [0.3, -0.7]})
+    adam_step(store, grads, lr=1e-2)
+    store.params.flat[...] = fresh.params.flat
+    store.reset_optimizer()
+    assert "m" not in vars(store) and "v" not in vars(store) and store.step == 0
+    adam_step(store, grads, lr=1e-2)
+    adam_step(fresh, grads, lr=1e-2)
+    for kind in ("params", "m", "v"):
+        assert getattr(store, kind).flat.tobytes() == getattr(fresh, kind).flat.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=3),
        steps=st.integers(1, 5), lr=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))

@@ -153,6 +153,17 @@ def test_histogram_invalid_range():
         histogram([1.0], 3, (2.0, 2.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_range_wider_than_the_largest_float_raises_without_a_warning():
+    # finite ends whose difference overflows: numpy's bin edges would warn
+    with pytest.raises(ValueError, match="wider than the largest float"):
+        histogram([0.0], 50, (-1e308, 1e308))
+    with pytest.raises(ValueError, match="wider than the largest float"):
+        ScoreReport("m", [1e308, -1e308], [0.5, 1.0])
+    edges, counts = histogram([0.0], 2, (-8e307, 8e307))
+    assert counts.tolist() == [0, 1] and np.all(np.isfinite(edges))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), max_size=60),
        st.integers(min_value=1, max_value=12))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import cli, flows, training
+from cnflow import cli, flows, methods, training
 from cnflow.diffcore import adam_step
 from cnflow.datasets import FeatureSet, gen_gaussian, load_features, save_features
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
@@ -145,7 +145,9 @@ def test_contrastive_training_holds_one_gradient_and_one_snapshot():
     tau = float(np.median(-flows.log_prob(model, contrastive)))
     cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, clamp_tau=tau,
                       val_fraction=0.2, seed=0)
-    # the Adam moments, which the first step allocates, belong to the model
+    # the Adam moments, which the first step allocates and the fit releases
+    # when it returns, are allocated before tracing: they are not the fit's
+    # working memory
     model.store.m, model.store.v
     tracemalloc.start()
     try:
@@ -154,6 +156,76 @@ def test_contrastive_training_holds_one_gradient_and_one_snapshot():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * n_params
+
+
+def holds_no_moments(store):
+    return "m" not in vars(store) and "v" not in vars(store) and store.step == 0
+
+
+@pytest.mark.parametrize("objective", ["nll", "contrastive", "cf_ft"])
+def test_a_fit_releases_its_moments_when_it_returns(objective):
+    rng = np.random.default_rng(0)
+    model = small_model(dim=2, seed=1)
+    cfg = TrainConfig(batch_size=8, max_epochs=2, objective=objective, clamp_tau=4.0)
+    train(model, rng.standard_normal((20, 2)), 1.5 * rng.standard_normal((20, 2)), cfg)
+    assert holds_no_moments(model.store)
+
+
+def test_a_fit_releases_its_moments_when_it_raises(monkeypatch):
+    # the second step raises, after the first has allocated the moments
+    real_step = training.adam_step
+    allocated = []
+
+    def failing_step(store, grads, lr):
+        real_step(store, grads, lr)
+        allocated.append("m" in vars(store) and "v" in vars(store))
+        if store.step == 2:
+            raise NumericError("second step")
+
+    monkeypatch.setattr(training, "adam_step", failing_step)
+    model = small_model(dim=2, seed=1)
+    cfg = TrainConfig(batch_size=4, max_epochs=1, objective="nll")
+    with pytest.raises(NumericError, match="second step"):
+        train(model, np.random.default_rng(0).standard_normal((12, 2)), cfg=cfg)
+    assert allocated == [True, True]
+    assert holds_no_moments(model.store)
+
+
+def test_a_second_fit_starts_adam_afresh():
+    # a second train call on a fitted model steps like the same call on a
+    # new model that holds the fitted parameters
+    rng = np.random.default_rng(2)
+    first, second = rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 0.5
+    cfg = TrainConfig(batch_size=8, max_epochs=3, objective="nll", val_fraction=0.0)
+    fitted = small_model(dim=3, seed=4)
+    train(fitted, first, cfg=cfg)
+    fresh = small_model(dim=3, seed=4)
+    fresh.store.params.flat[...] = fitted.store.params.flat
+    train(fitted, second, cfg=replace(cfg, seed=1))
+    train(fresh, second, cfg=replace(cfg, seed=1))
+    assert fitted.store.params.flat.tobytes() == fresh.store.params.flat.tobytes()
+
+
+def test_flow_ratio_holds_no_moments_of_its_first_flow_while_the_second_fits():
+    # traced peak of a flow_ratio fit of two 2.2 M parameter flows (D=16,
+    # width 512), in units of 8 bytes per parameter: both flows'
+    # parameters, the second's moments, gradient and snapshot, and a
+    # batch's activations read 6.3; the first flow's moments, kept through
+    # the second fit, added 2.0
+    rng = np.random.default_rng(0)
+    inliers, contrastive = rng.standard_normal((128, 16)), 1.5 * rng.standard_normal((128, 16))
+    flow_config = flows.FlowConfig(hidden_width=512)
+    n_params = flows.build_model(16, flow_config).store.n_params()
+    assert n_params > 2_000_000
+    cfg = TrainConfig(batch_size=64, max_epochs=1, val_fraction=0.25)
+    tracemalloc.start()
+    try:
+        methods.fit_method("flow_ratio", inliers, contrastive, cfg, seed=0,
+                           flow_config=flow_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.3 * 8 * n_params
 
 
 def test_train_gathers_batches_without_copying_its_training_rows(monkeypatch):

@@ -151,12 +151,14 @@ _KINDS = {dict: "object", int: "count", float: "number", str: "string", type(Non
 
 def _fits(default, value) -> bool:
     """Whether value has the kind of the default it replaces (README, Config
-    schema); a count is an integer >= 0, every null default is a path and
-    every empty-list default a list of paths."""
+    schema); a count is an integer >= 0, every null default is a path, every
+    empty-list default a list of paths and a list replacing a non-empty one
+    is non-empty."""
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_fits((default or [""])[0], v) for v in value)
+        return (isinstance(value, list) and (bool(value) or not default)
+                and all(_fits((default or [""])[0], v) for v in value))
     if isinstance(default, float):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
@@ -166,7 +168,7 @@ def _fits(default, value) -> bool:
 
 def _kind(default, plural: str = "") -> str:
     if isinstance(default, list):
-        return "a list of " + _kind((default or [""])[0], "s")
+        return ("a non-empty" if default else "a") + " list of " + _kind((default or [""])[0], "s")
     noun = _KINDS[type(default)]
     return noun + plural if plural else ("an " if noun == "object" else "a ") + noun
 
@@ -302,6 +304,9 @@ def run_clamp_sweep(cfg: dict) -> list[dict]:
 def run_toy2d(cfg: dict) -> dict:
     out = _out_dir(cfg)
     seed = cfg["seed"]
+    for key in ("inlier_mean", "contrastive_mean"):
+        if len(cfg[key]) != 2:
+            raise ConfigError(f"{key} must hold 2 values, got {cfg[key]!r}")
     inl = datasets.gen_gaussian(cfg["inlier_mean"], 1.0, cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive_mean"], 1.0, cfg["n_contrastive"], seed=seed + 22)
     (cf, _), (flow_in, _), (flow_contr, _) = run_tasks([
@@ -472,13 +477,7 @@ def run_score(cfg: dict) -> dict:
     model = flows.load_model(cfg["model_path"])
     fs = datasets.load_features(cfg["data_path"])
     scores = metrics.outlier_score(model, fs.data)
-    if fs.labels is not None:
-        header = ["score", "label"]
-        rows = [(float(s), int(l)) for s, l in zip(scores, fs.labels)]
-    else:
-        header = ["score"]
-        rows = [(float(s),) for s in scores]
-    datasets.write_csv(out / cfg["scores_out"], header, rows)
+    datasets.write_columns(out / cfg["scores_out"], ["score"], scores[:, None], fs.labels)
     return {"n": fs.n, "scores": str(out / cfg["scores_out"])}
 
 
@@ -492,6 +491,8 @@ def _read_score_file(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def run_eval(cfg: dict) -> dict:
     out = _out_dir(cfg)
+    if bool(cfg["paired_a"]) != bool(cfg["paired_b"]):
+        raise ConfigError("eval needs both of paired_a and paired_b, or neither")
     if cfg["inlier_scores"] and cfg["outlier_scores"]:
         s_in, _ = _read_score_file(cfg["inlier_scores"])
         s_out, _ = _read_score_file(cfg["outlier_scores"])
@@ -505,7 +506,7 @@ def run_eval(cfg: dict) -> dict:
         raise ConfigError("eval needs score files")
     sr = metrics.ScoreReport(cfg["method"], s_in, s_out, n_bins=cfg["n_bins"])
     result = sr.to_json_dict()
-    if cfg["paired_a"] and cfg["paired_b"]:
+    if cfg["paired_a"]:
         a, _ = _read_score_file(cfg["paired_a"])
         b, _ = _read_score_file(cfg["paired_b"])
         result["wilcoxon_p"] = metrics.wilcoxon_signed_rank(a, b)

@@ -31,7 +31,7 @@ LABEL_CONTRASTIVE = 2
 LABEL_CODES = (LABEL_INLIER, LABEL_OUTLIER, LABEL_CONTRASTIVE)
 
 _MAGIC = b"CFTR"
-_VERSION = 1
+FRAME_VERSION = 1  # of both binary formats: feature files and flows' model files
 _HEADER = struct.Struct("<4sHIQB")
 
 
@@ -102,24 +102,19 @@ def mix_datasets(spec: MixSpec) -> FeatureSet:
     if broad.dim != other.dim:
         raise DimensionError("mixture sources disagree on dimension")
     n_broad = int(round(spec.mu * spec.total))
-    n_other = spec.total - n_broad
     rng = np.random.default_rng(spec.seed)
     parts, labels = [], []
-    if n_broad > 0:
-        if n_broad > broad.n:
-            raise DegenerateDataError(f"broad source has {broad.n} samples, need {n_broad}")
-        idx = rng.choice(broad.n, size=n_broad, replace=False)
-        parts.append(broad.data[idx])
-        labels.append(np.full(n_broad, LABEL_CONTRASTIVE, dtype=np.int8))
-    if n_other > 0:
-        if n_other > other.n:
-            raise DegenerateDataError(f"other source has {other.n} samples, need {n_other}")
-        idx = rng.choice(other.n, size=n_other, replace=False)
-        parts.append(other.data[idx])
-        if other.labels is not None:
-            labels.append(other.labels[idx])
-        else:
-            labels.append(np.full(n_other, LABEL_INLIER, dtype=np.int8))
+    # (name, source, rows drawn, the source's own labels, the label otherwise)
+    for name, source, count, own, fill in (
+            ("broad", broad, n_broad, None, LABEL_CONTRASTIVE),
+            ("other", other, spec.total - n_broad, other.labels, LABEL_INLIER)):
+        if count == 0:
+            continue
+        if count > source.n:
+            raise DegenerateDataError(f"{name} source has {source.n} samples, need {count}")
+        idx = rng.choice(source.n, size=count, replace=False)
+        parts.append(source.data[idx])
+        labels.append(np.full(count, fill, dtype=np.int8) if own is None else own[idx])
     data = np.concatenate(parts, axis=0)
     lab = np.concatenate(labels)
     perm = rng.permutation(spec.total)
@@ -169,22 +164,28 @@ def save_features(fs: FeatureSet, path, format: str | None = None) -> None:
     if fmt == "binary":
         # checked before the file is opened, so a refused save leaves an
         # existing file as it was
-        for chunk in _float32_chunks(fs.data):
+        for _, chunk in _float32_chunks(fs.data, cast=True):
             require_finite(chunk, DegenerateDataError, "feature values lie beyond the float32 "
                            f"range +-{np.finfo(np.float32).max:.8g} of a binary feature file")
         flags = 1 if fs.labels is not None else 0
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, fs.dim, fs.n, flags))
-            for chunk in _float32_chunks(fs.data):
+            fh.write(_HEADER.pack(_MAGIC, FRAME_VERSION, fs.dim, fs.n, flags))
+            for _, chunk in _float32_chunks(fs.data, cast=True):
                 fh.write(chunk)
             if fs.labels is not None:
                 fh.write(fs.labels.astype(np.uint8).tobytes())
     else:
-        header, rows = [f"f{j}" for j in range(fs.dim)], fs.data
-        if fs.labels is not None:
-            header.append("label")
-            rows = ((*row, int(label)) for row, label in zip(fs.data, fs.labels))
-        write_csv(path, header, rows)
+        write_columns(path, [f"f{j}" for j in range(fs.dim)], fs.data, fs.labels)
+
+
+def write_columns(path, names: list[str], data: Array, labels: Array | None = None) -> None:
+    """write_csv of the float columns of the 2-D data under names, and of
+    labels, when given, as a last "label" column."""
+    header, rows = list(names), data.tolist()
+    if labels is not None:
+        header.append("label")
+        rows = ([*row, label] for row, label in zip(rows, labels.tolist()))
+    write_csv(path, header, rows)
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -198,25 +199,43 @@ def write_csv(path, header: list[str], rows) -> None:
         out.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
+def read_frame(fh, header: struct.Struct, magic: bytes, kind: str, parse):
+    """The value of (payload bytes, value) = parse(*fields) for the header
+    (magic, FRAME_VERSION, *fields) of the binary `kind` file open in fh,
+    after FormatError checks of the header and of the file's size."""
+    head = fh.read(header.size)
+    if len(head) < header.size:
+        raise FormatError(f"truncated {kind} file header")
+    found, version, *fields = header.unpack(head)
+    if found != magic:
+        raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+    if version != FRAME_VERSION:
+        raise FormatError(f"unsupported {kind} file version {version}")
+    payload, value = parse(*fields)
+    size, expected = os.fstat(fh.fileno()).st_size, header.size + payload
+    if size != expected:
+        raise FormatError(f"{kind} file is {size} bytes, its header implies {expected}")
+    return value
+
+
+def _feature_frame(dim: int, n: int, flags: int):
+    """The payload bytes and the fields of a feature file header."""
+    if dim < 1:
+        raise FormatError("feature file header declares no feature columns")
+    return 4 * dim * n + (n if flags & 1 else 0), (dim, n, flags)
+
+
 def load_features(path, format: str | None = None) -> FeatureSet:
     fmt = _resolve_format(path, format)
     if fmt == "binary":
         with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise FormatError("truncated feature file header")
-            magic, version, dim, n, flags = _HEADER.unpack(head)
-            if magic != _MAGIC:
-                raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-            if version != _VERSION:
-                raise FormatError(f"unsupported feature file version {version}")
-            if dim < 1:
-                raise FormatError("feature file header declares no feature columns")
-            expected = _HEADER.size + 4 * dim * n + (n if flags & 1 else 0)
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                raise FormatError(f"feature file is {size} bytes, its header implies {expected}")
-            data = _read_float32_rows(fh, n, dim)
+            dim, n, flags = read_frame(fh, _HEADER, _MAGIC, "feature", _feature_frame)
+            data = np.empty((n, dim))
+            for rows, chunk in _float32_chunks(data):
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise FormatError("feature file ended inside its payload")
+                # the widening is exact: bitwise np.frombuffer(payload, "<f4").astype(float)
+                rows[...] = chunk
             labels = None
             if flags & 1:
                 labels = np.empty(n, dtype=np.uint8)
@@ -259,34 +278,20 @@ def load_features(path, format: str | None = None) -> FeatureSet:
 _LOAD_CHUNK = 65536
 
 
-def _float32_chunks(data: Array):
-    """The values of the C-contiguous float64 array data, row-major, cast
-    to little-endian float32 in consecutive chunks of _LOAD_CHUNK values
-    that share one buffer, so each chunk is valid until the next.  A value
-    beyond the float32 range casts to +-inf, without numpy's warning."""
+def _float32_chunks(data: Array, cast: bool = False):
+    """(values, buffer) pairs: consecutive slices of up to _LOAD_CHUNK values
+    of the C-contiguous float64 data, and a little-endian float32 buffer
+    each, valid until the next pair; with cast it holds the values (+-inf
+    beyond the float32 range, without numpy's warning)."""
     flat = data.reshape(-1)
     buf = np.empty(min(flat.size, _LOAD_CHUNK), dtype="<f4")
     for lo in range(0, flat.size, _LOAD_CHUNK):
-        chunk = buf[:min(_LOAD_CHUNK, flat.size - lo)]
-        with np.errstate(over="ignore"):
-            chunk[...] = flat[lo:lo + chunk.size]
-        yield chunk
-
-
-def _read_float32_rows(fh, n: int, dim: int) -> Array:
-    """The next n x D little-endian float32 values of fh as float64 rows,
-    read through one bounded buffer into the preallocated rows; the
-    widening is exact, so the rows are bitwise those of
-    np.frombuffer(payload, "<f4").astype(np.float64)."""
-    data = np.empty((n, dim))
-    flat = data.reshape(-1)
-    buf = np.empty(min(flat.size, _LOAD_CHUNK), dtype="<f4")
-    for lo in range(0, flat.size, _LOAD_CHUNK):
-        chunk = buf[:min(_LOAD_CHUNK, flat.size - lo)]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FormatError("feature file ended inside its payload")
-        flat[lo:lo + chunk.size] = chunk
-    return data
+        rows = flat[lo:lo + _LOAD_CHUNK]
+        chunk = buf[:rows.size]
+        if cast:
+            with np.errstate(over="ignore"):
+                chunk[...] = rows
+        yield rows, chunk
 
 
 def _resolve_format(path, format: str | None) -> str:

@@ -46,7 +46,6 @@ bias) whose bias holds the learned raw log-scale and shift.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import sys
 from collections.abc import Callable
@@ -55,6 +54,7 @@ from functools import partial
 
 import numpy as np
 
+from .datasets import FRAME_VERSION, read_frame
 from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
                        blas_threads, dense, init_mlp_params, mlp_backward, mlp_forward,
                        require_finite, require_ints, require_positive_reals, run_tasks)
@@ -420,7 +420,6 @@ def weighted_nll_grad(model: FlowModel, x, weights, *,
 
 
 _MAGIC = b"CFLW"
-_VERSION = 1
 _HEADER = struct.Struct("<4sHIHId")
 
 
@@ -431,7 +430,7 @@ def save_model(model: FlowModel, path) -> None:
     if cfg.activation != "relu":
         raise ValueError("model file v1 stores relu subnets only")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, model.dim, model.n_blocks,
+        fh.write(_HEADER.pack(_MAGIC, FRAME_VERSION, model.dim, model.n_blocks,
                               cfg.hidden_width, cfg.clamp_alpha))
         for block in model.blocks:
             fh.write(block.perm.astype("<u4").tobytes())
@@ -440,27 +439,20 @@ def save_model(model: FlowModel, path) -> None:
                                               dtype="<f8").tobytes())
 
 
+def _model_frame(dim: int, n_blocks: int, hidden: int, alpha: float):
+    """The payload bytes, the dim, the config and the subnet of a model file header."""
+    try:
+        cfg = FlowConfig(n_blocks, hidden, alpha)
+        subnet = _subnet_spec(dim, cfg)
+    except ValueError as exc:
+        raise FormatError(f"bad model file header: {exc}") from None
+    block_bytes = 4 * dim + 8 * sum(map(math.prod, subnet.param_shapes().values()))
+    return n_blocks * block_bytes, (dim, cfg, subnet)
+
+
 def load_model(path) -> FlowModel:
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FormatError("truncated model file header")
-        magic, version, dim, n_blocks, hidden, alpha = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        if version != _VERSION:
-            raise FormatError(f"unsupported model file version {version}")
-        try:
-            cfg = FlowConfig(n_blocks, hidden, alpha)
-            subnet = _subnet_spec(dim, cfg)
-        except ValueError as exc:
-            raise FormatError(f"bad model file header: {exc}") from None
-        shapes = subnet.param_shapes()
-        block_bytes = 4 * dim + 8 * sum(math.prod(shape) for shape in shapes.values())
-        expected = _HEADER.size + n_blocks * block_bytes
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise FormatError(f"model file is {size} bytes, its header implies {expected}")
+        dim, cfg, subnet = read_frame(fh, _HEADER, _MAGIC, "model", _model_frame)
 
         def fill(i: int, views: dict[str, Array]) -> Array:
             perm = np.empty(dim, dtype="<u4")

@@ -126,19 +126,17 @@ class GridDensity:
         return len(self.axes)
 
     def integral(self) -> float:
-        if self.ndim == 1:
-            return float(np.trapezoid(self.values, self.axes[0]))
-        inner = np.trapezoid(self.values, self.axes[1], axis=1)
-        return float(np.trapezoid(inner, self.axes[0]))
+        """Trapezoid rule along the last axis, then along each axis before it."""
+        values = self.values
+        for axis in reversed(self.axes):
+            values = np.trapezoid(values, axis, axis=-1)
+        return float(values)
 
 
 def grid_points(axes: tuple[Array, ...]) -> Array:
-    """Lattice points of a 1-D or 2-D grid as an (n, D) array, row-major
-    over the first axis (the order of values.ravel())."""
-    if len(axes) == 1:
-        return axes[0][:, None]
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    """Lattice points of a grid as an (n, D) array, row-major over the
+    first axis (the order of values.ravel())."""
+    return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
 
 
 def grid_1d(lo: float, hi: float, n: int = DEFAULT_GRID_POINTS) -> tuple[Array]:
@@ -186,10 +184,8 @@ def positive_difference(p: DensitySpec, q: DensitySpec,
     peak = float(raw.max())
     if peak <= 0.0:
         raise ValueError("positive part of p - q is empty (p <= q on the whole grid)")
-    if len(grid) == 1:
-        boundary = max(raw[0], raw[-1])
-    else:
-        boundary = max(raw[0, :].max(), raw[-1, :].max(), raw[:, 0].max(), raw[:, -1].max())
+    # the largest value on the grid's faces: the first and last index of each axis
+    boundary = max(np.take(raw, [0, -1], axis=k).max() for k in range(raw.ndim))
     if boundary >= BOUNDARY_MASS_TOL * peak:
         raise GridError("grid too small: positive difference does not vanish at the boundary")
     gd = GridDensity(grid, raw)
@@ -208,8 +204,6 @@ def model_density_on_grid(log_density: Callable[[Array], Array],
                           grid: tuple[Array, ...]) -> GridDensity:
     """exp(log_density) of a model on a 1-D or 2-D grid; log_density maps
     an (n, D) batch to n log densities (e.g. partial(flows.log_prob, model))."""
-    if len(grid) not in (1, 2):
-        raise DimensionError("model_density_on_grid supports 1-D and 2-D grids only")
     values = np.exp(log_density(grid_points(grid)))
     return GridDensity(grid, values.reshape([len(a) for a in grid]))
 

@@ -166,9 +166,9 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     contrastive set is a contaminated mixture), also for the nll
     objective; otherwise its split is carved out of the contrastive set.
 
-    The fit releases the model's Adam moments when it returns or raises,
-    so a fitted model holds only its parameters, and a second call on it
-    starts Adam afresh.
+    Each phase starts Adam afresh, whatever optimizer state the model's
+    store holds, and the fit releases the moments when it returns or
+    raises, so a fitted model holds only its parameters.
     """
     try:
         return _fit(model, inlier_set, contrastive_set, cfg, val_contrastive_set)
@@ -217,9 +217,7 @@ def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
     if cfg.objective == "cf_ft":
         phases.append(("contrastive", FINETUNE_EPOCHS, False, rng_ft_in, rng_ft_c))
     for objective, max_epochs, early_stop, shuffle_in, shuffle_c in phases:
-        if not early_stop:
-            # the finetune starts from fresh optimizer moments
-            model.store.reset_optimizer()
+        model.store.reset_optimizer()
         contrastive = objective == "contrastive"
         steps_c = _epoch_batches(rows_c.size, cfg.batch_size) if contrastive else 0
         steps = max(steps_in, steps_c)

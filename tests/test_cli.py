@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cnflow import cli, datasets, flows, methods, metrics, training
 from cnflow.datasets import gen_gaussian, save_features
+from cnflow.errors import FormatError
 from cnflow.flows import FlowConfig
 from cnflow.training import TrainConfig
 
@@ -491,6 +492,16 @@ BAD_INPUTS = {
     "eval_inlier_scores_list": ("eval", {"inlier_scores": ["ok.csv"]}, 2),
     "train_data_path_list": ("train", {"data_path": ["inl.csv"]}, 2),
     "report_class_paths_string": ("report", {"class_paths": "x"}, 2),
+    # requests that were once dropped without a word, or refused only after
+    # every fit had run
+    "toy2d_means_of_3": ("toy2d", {"inlier_mean": [1.0, 1.0, 1.0],
+                                   "contrastive_mean": [0.0, 0.0, 0.0]}, 2),
+    "sweep_mu_grid_empty": ("mu-sweep", {"mu_grid": []}, 2),
+    "sweep_methods_empty": ("mu-sweep", {"methods": []}, 2),
+    "report_methods_empty": ("report", {"methods": []}, 2),
+    "clamp_sweep_epsilons_empty": ("clamp-sweep", {"epsilons": []}, 2),
+    "eval_paired_a_only": ("eval", {"inlier_scores": "ok.csv", "outlier_scores": "ok.csv",
+                                    "paired_a": "ok.csv"}, 2),
 }
 
 
@@ -498,6 +509,12 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, monkeypatch, case):
     kind, payload, code = BAD_INPUTS[case]
+    if code == 2:
+        # an input error is refused before the first optimizer step
+        def no_step(*args, **kwargs):
+            raise AssertionError("an optimizer step ran before the input was refused")
+
+        monkeypatch.setattr(training, "adam_step", no_step)
     _write_bad_input_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     rc = run_cli([kind, "--out", str(tmp_path / "out"), "--config",
@@ -550,6 +567,33 @@ def test_a_value_of_the_wrong_kind_exits_2_before_any_fit(tmp_path_factory, data
 @pytest.mark.parametrize("kind", sorted(cli.DEFAULTS))
 def test_defaults_merged_over_themselves_are_unchanged(kind):
     assert cli._merge(cli.DEFAULTS[kind], cli.DEFAULTS[kind]) == cli.DEFAULTS[kind]
+
+
+@pytest.mark.parametrize("flaw", ["truncated_header", "bad_magic", "version_2", "trailing_byte"])
+@pytest.mark.parametrize("suffix", [".cftr", ".cflw"])
+def test_both_binary_formats_refuse_a_bad_frame_with_its_message(tmp_path, suffix, flaw):
+    good, bad = tmp_path / f"good{suffix}", tmp_path / f"bad{suffix}"
+    if suffix == ".cftr":
+        kind, load = "feature", datasets.load_features
+        save_features(datasets.FeatureSet(np.ones((2, 2)), [0, 1]), good)
+    else:
+        kind, load = "model", flows.load_model
+        flows.save_model(flows.init_model(2, n_blocks=1, hidden_width=4, seed=0), good)
+    raw = good.read_bytes()
+    if flaw == "version_2":
+        _with_header_field(good, bad, 1, 2)
+    else:
+        bad.write_bytes({"truncated_header": raw[:HEADERS[suffix][0].size - 1],
+                         "bad_magic": b"XXXX" + raw[4:],
+                         "trailing_byte": raw + b"\0"}[flaw])
+    message = {"truncated_header": f"truncated {kind} file header",
+               "bad_magic": f"bad magic b'XXXX', expected {raw[:4]!r}",
+               "version_2": f"unsupported {kind} file version 2",
+               "trailing_byte": f"{kind} file is {len(raw) + 1} bytes, "
+                                f"its header implies {len(raw)}"}[flaw]
+    with pytest.raises(FormatError) as info:
+        load(bad)
+    assert str(info.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -672,7 +716,7 @@ def test_unknown_method_exits_2_before_any_fit(tmp_path, monkeypatch, kind):
 
 
 @pytest.mark.parametrize("payload, expected", [({"reps": 0}, "positive integer"),
-                                               ({"methods": "cf"}, "must be a list")])
+                                               ({"methods": "cf"}, "must be a non-empty list")])
 def test_mu_sweep_bad_reps_or_method_list_exits_2_in_one_line(tmp_path, capsys, monkeypatch,
                                                                payload, expected):
     # reps 0 once ended in an IndexError traceback, and a string of

@@ -6,9 +6,9 @@ import scipy.stats
 
 from cnflow import cli
 from cnflow.errors import DimensionError, GridError
-from cnflow.oracle import (GaussianSpec, GridDensity, default_grid,
+from cnflow.oracle import (BOUNDARY_MASS_TOL, GaussianSpec, GridDensity, default_grid,
                            density_values, gaussian_logpdf, grid_1d, grid_2d,
-                           mixture_invariance_check, positive_difference,
+                           grid_points, mixture_invariance_check, positive_difference,
                            tv_distance)
 from helpers import difference_support_1d
 
@@ -219,3 +219,49 @@ def test_grid_density_csv_roundtrip(tmp_path):
     assert len(rows) == 12
     x0, d0 = rows[1].split(",")
     assert float(x0) == -2.0 and float(d0) == 0.0
+
+
+# the 1-D and 2-D lattice formulas that grid_points, GridDensity.integral and
+# the boundary test of positive_difference each once spelled out
+def _axis_points(axes):
+    if len(axes) == 1:
+        return axes[0][:, None]
+    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def _axis_integral(values, axes):
+    if len(axes) == 1:
+        return float(np.trapezoid(values, axes[0]))
+    return float(np.trapezoid(np.trapezoid(values, axes[1], axis=1), axes[0]))
+
+
+def _axis_boundary(raw):
+    if raw.ndim == 1:
+        return max(raw[0], raw[-1])
+    return max(raw[0, :].max(), raw[-1, :].max(), raw[:, 0].max(), raw[:, -1].max())
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_lattice_rules_are_bitwise_the_one_and_two_axis_formulas(ndim, seed):
+    # uneven random axes of 2-11 points, spans from inside to outside the
+    # region where p > q, so both outcomes of the boundary test occur
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.sort(rng.uniform(-1.0, 1.0, rng.integers(2, 12))) * rng.uniform(0.5, 6.0)
+                 for _ in range(ndim))
+    values = rng.random([len(a) for a in axes])
+    assert grid_points(axes).tobytes() == _axis_points(axes).tobytes()
+    assert GridDensity(axes, values).integral() == _axis_integral(values, axes)
+    p, q = GaussianSpec(np.zeros(ndim), 1.0), GaussianSpec(np.ones(ndim), 2.0)
+    pts = _axis_points(axes)
+    raw = np.maximum(density_values(p, pts) - density_values(q, pts), 0.0).reshape(values.shape)
+    if raw.max() <= 0.0:
+        with pytest.raises(ValueError, match="positive part of p - q is empty"):
+            positive_difference(p, q, axes)
+    elif _axis_boundary(raw) >= BOUNDARY_MASS_TOL * raw.max():
+        with pytest.raises(GridError, match="grid too small"):
+            positive_difference(p, q, axes)
+    else:
+        got = positive_difference(p, q, axes).values
+        assert got.tobytes() == (raw / _axis_integral(raw, axes)).tobytes()

@@ -218,6 +218,13 @@ def read_frame(fh, header: struct.Struct, magic: bytes, kind: str, parse):
     return value
 
 
+def read_exactly(fh, buf: Array, message: str) -> None:
+    """Fill buf from the binary file open in fh, or raise
+    FormatError(message) if the file ends first."""
+    if fh.readinto(buf) != buf.nbytes:
+        raise FormatError(message)
+
+
 def _feature_frame(dim: int, n: int, flags: int):
     """The payload bytes and the fields of a feature file header."""
     if dim < 1:
@@ -232,15 +239,16 @@ def load_features(path, format: str | None = None) -> FeatureSet:
             dim, n, flags = read_frame(fh, _HEADER, _MAGIC, "feature", _feature_frame)
             data = np.empty((n, dim))
             for rows, chunk in _float32_chunks(data):
-                if fh.readinto(chunk) != chunk.nbytes:
-                    raise FormatError("feature file ended inside its payload")
-                # the widening is exact: bitwise np.frombuffer(payload, "<f4").astype(float)
-                rows[...] = chunk
+                read_exactly(fh, chunk, "feature file ended inside its payload")
+                # the widening is exact: bitwise np.frombuffer(payload, "<f4").astype(float);
+                # a signalling NaN widens to a NaN, which FeatureSet refuses, with
+                # numpy's warning silenced so that the refusal is the one message
+                with np.errstate(invalid="ignore"):
+                    rows[...] = chunk
             labels = None
             if flags & 1:
                 labels = np.empty(n, dtype=np.uint8)
-                if fh.readinto(labels) != n:
-                    raise FormatError("feature file ended inside its labels")
+                read_exactly(fh, labels, "feature file ended inside its labels")
                 if np.any(labels > LABEL_CONTRASTIVE):
                     raise FormatError(f"label bytes outside the codes {LABEL_CODES}")
         return FeatureSet(data, labels)

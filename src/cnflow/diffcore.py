@@ -416,12 +416,14 @@ def mlp_backward(cache: MlpCache, grad_out: Array, grads: FlatViews | None = Non
     return grads, g
 
 
-# elements per chunk of the Adam step, whose six chunks in flight (3 MiB)
-# stay in cache from one operation of the chain to the next.  A step over
-# the 8x512 model at D=128 took 38-44 ms one parameter at a time, 40.9 ms
-# in chunks of 4096, 31.0 ms of 16384 and 29.5 ms of 65536 (best of 8,
-# 2-core x86-64)
-_ADAM_CHUNK = 65536
+# elements per chunk of the Adam step, whose six chunks in flight (768 KiB)
+# stay in a 2 MiB L2 cache from one operation of the chain to the next,
+# and whose two scratch chunks and range-check temporaries are all the
+# memory a step allocates.  Timed inside train-d128 fits of the 8x512
+# model at D=128, chunk sizes rotating from step to step, 42-43 steps
+# each, the median step took 27.4 ms in chunks of 65536, 27.6 ms of 16384
+# and 27.1 ms of 32768 (2-core x86-64)
+_ADAM_CHUNK = 16384
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
 # the largest gradient magnitude a step takes: g * g then stays finite, and
 # v / c2, a bias-corrected average of past squares, at or below 2**1022

@@ -32,11 +32,11 @@ The cached pass of training (nll_with_backward) runs in a cached
 workspace, which a fit builds once, sized to its largest batch; every
 pass of every step computes in its first rows.  It keeps each coupling
 block's arrays and hidden MLP activations but the first for the backward
-pass; the first hidden activation and the conditioner output are one
-array each that all blocks share, and the backward pass computes each
-block's first hidden activation again (see Workspace).  The backward pass
-runs in the same call as its forward pass and computes in the memory of
-activations it no longer needs.
+pass; the first hidden activation, the conditioner output and exp(s)
+are one array each that all blocks share, and the backward pass
+computes each block's first hidden activation and exp(s) again (see
+Workspace).  The backward pass runs in the same call as its forward
+pass and computes in the memory of activations it no longer needs.
 
 dim == 1 is a degenerate coupling: the conditioner set is empty, and the
 subnetwork is a bias-only layer (an empty (0, 2) weight and a length-2
@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .datasets import FRAME_VERSION, read_frame
+from .datasets import FRAME_VERSION, read_exactly, read_frame
 from .diffcore import (FlatViews, MlpCache, MlpScratch, MlpSpec, ParamStore, as_batch,
                        blas_threads, dense, init_mlp_params, mlp_backward, mlp_forward,
                        require_finite, require_ints, require_positive_reals, run_tasks)
@@ -157,19 +157,21 @@ def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
 class _CouplingArrays:
     """The arrays of one coupling step of up to `rows` rows: the
     conditioning and transformed halves of the permuted input, tanh(raw /
-    alpha) (in exp_s's memory unless kept for a backward pass), the exp of
-    the clamped log-scale and the output of each conditioner layer, of
-    which the first (hidden) and the last (the raw log-scale and shift)
-    are the workspace's `shared` arrays, keyed by layer index."""
+    alpha) (in exp_s's memory unless kept for a backward pass), exp_s, the
+    exp of the clamped log-scale, which is the workspace's one array, and
+    the output of each conditioner layer, of which the first (hidden) and
+    the last (the raw log-scale and shift) are the workspace's `shared`
+    arrays, keyed by layer index."""
 
-    def __init__(self, model: FlowModel, rows: int, keep_th: bool, shared: dict[int, Array]):
+    def __init__(self, model: FlowModel, rows: int, keep_th: bool, exp_s: Array,
+                 shared: dict[int, Array]):
         spec = model.blocks[0].subnet
         d_trans = model.dim - spec.in_width
         self.cond = np.empty((rows, spec.in_width))
         self.trans = np.empty((rows, d_trans))
-        self.exp_s = np.empty((rows, d_trans))
+        self.exp_s = exp_s
         # tanh is needed only until the log-scale is formed, unless kept
-        self.th = np.empty((rows, d_trans)) if keep_th else self.exp_s
+        self.th = np.empty((rows, d_trans)) if keep_th else exp_s
         self.layers = [shared[layer] if layer in shared else np.empty((rows, fan_out))
                        for layer, (_, fan_out) in enumerate(spec.layer_dims())]
 
@@ -183,26 +185,33 @@ class Workspace:
     computes in.  A cached one, which a training fit keeps for its cached
     passes, has a set per coupling block, which the backward pass reads,
     and the backward pass's own memory.  Either way the coupling blocks
-    share the conditioner's first hidden activation and its output.  A
-    forward pass reads a block's raw log-scale and shift only before the
-    next block's conditioner runs, and the backward pass writes each
-    block's output gradient there.  The next block's conditioner
-    overwrites a block's first hidden activation, so the backward pass
-    computes it again from the block's kept `cond`: one rows x ceil(D/2)
-    x width matmul per block, for (n_blocks - 1) x rows x width floats
-    fewer.  A pass over fewer rows uses the first rows of each array."""
+    share exp(s) and the conditioner's first hidden activation and its
+    output, so a cached block keeps only its cond, trans, th and the
+    hidden activations after the first.  A forward pass reads a block's
+    exp(s), raw log-scale and shift only before the next block's
+    conditioner runs, and the backward pass writes each block's output
+    gradient into the shared output.  The next block's conditioner
+    overwrites the rest, so the backward pass computes it again, with the
+    forward pass's operations and so with its bits: a block's exp(s) from
+    its kept th, an elementwise multiply and exp, for (n_blocks - 1) x
+    rows x floor(D/2) floats fewer, and its first hidden activation from
+    its kept `cond`, one rows x ceil(D/2) x width matmul per block, for
+    (n_blocks - 1) x rows x width floats fewer.  A pass over fewer rows
+    uses the first rows of each array."""
 
     def __init__(self, model: FlowModel, rows: int, cached: bool = False):
         self.rows = rows
         dims = model.blocks[0].subnet.layer_dims()
         shared = {layer: np.empty((rows, dims[layer][1])) for layer in (0, len(dims) - 1)}
+        exp_s = np.empty((rows, model.dim - dims[0][0]))
         if cached:
-            self.blocks = [_CouplingArrays(model, rows, True, shared) for _ in model.blocks]
+            self.blocks = [_CouplingArrays(model, rows, True, exp_s, shared)
+                           for _ in model.blocks]
             # the latent gradient of every other block of a backward pass
             self.grad = np.empty((rows, model.dim))
             self.mlp = MlpScratch(model.blocks[0].subnet, rows)
         else:
-            self.blocks = [_CouplingArrays(model, rows, False, shared)] * model.n_blocks
+            self.blocks = [_CouplingArrays(model, rows, False, exp_s, shared)] * model.n_blocks
         # the latent and log-determinant of a pass
         self.z = np.empty((rows, model.dim))
         self.logdet = np.empty(rows)
@@ -344,20 +353,24 @@ def _backward_pass(model: FlowModel, ws: Workspace, caches: list[MlpCache], g: A
                    dld: Array, grads: FlatViews, add: bool) -> None:
     """Write (or with `add`, add) to grads the gradients of
     sum_i [g_i . z_i + dld_i * logdet_i] w.r.t. all parameters, where g,
-    the latent gradient, is in the first rows of ws.z.  Each block's first
-    hidden activation is computed again from its cond by diffcore.dense,
-    with the forward pass's bits, just before the block's conditioner
-    backward.  Every step computes in ws memory that the pass no longer
-    needs: the conditioner's output gradient in the shared conditioner
-    output, 1 - th^2 in th, the conditioner's input gradient in cond, and
-    each block's input gradient in whichever of ws.z and ws.grad does not
-    hold its output gradient."""
+    the latent gradient, is in the first rows of ws.z.  Before the
+    block's backward, its exp(s) is computed again from its kept th as
+    exp(alpha * th) in the shared exp_s, and its first hidden activation
+    from its cond by diffcore.dense, both with the forward pass's
+    operations and so with its bits.  Every step computes in ws memory
+    that the pass no longer needs: the conditioner's output gradient in
+    the shared conditioner output, 1 - th^2 in th (once exp(s) is taken
+    from it), the conditioner's input gradient in cond, and each block's
+    input gradient in whichever of ws.z and ws.grad does not hold its
+    output gradient."""
     n = g.shape[0]
     spare = ws.grad[:n]
     params = model.store.params
     for block, mlp_cache in zip(reversed(model.blocks), reversed(caches)):
         w = ws.blocks[block.index]
-        trans, th, exp_s = w.trans[:n], w.th[:n], w.exp_s[:n]
+        trans, th = w.trans[:n], w.th[:n]
+        exp_s = np.multiply(model.config.clamp_alpha, th, out=w.exp_s[:n])
+        np.exp(exp_s, out=exp_s)
         if block.subnet.n_hidden_layers:
             dense(w.cond[:n], params[block.prefix + "w0"], params[block.prefix + "b0"],
                   block.subnet.activation, out=w.layers[0][:n])
@@ -456,12 +469,12 @@ def load_model(path) -> FlowModel:
 
         def fill(i: int, views: dict[str, Array]) -> Array:
             perm = np.empty(dim, dtype="<u4")
-            fh.readinto(perm)
+            read_exactly(fh, perm, "model file ended inside its payload")
             if sorted(perm.tolist()) != list(range(dim)):
                 raise FormatError(f"block {i} permutation is not a bijection")
             # the parameters are read straight into their places in the store
             for view in views.values():
-                fh.readinto(view)
+                read_exactly(fh, view, "model file ended inside its payload")
                 if sys.byteorder == "big":
                     view.byteswap(inplace=True)
             return perm.astype(np.int64)

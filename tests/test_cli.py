@@ -411,6 +411,9 @@ def _write_bad_input_files(tmp_path):
     save_features(datasets.FeatureSet(np.ones((2, 2))), tmp_path / "ok.cftr")
     _with_header_field(tmp_path / "ok.cftr", tmp_path / "rows_2e62.cftr", 3, 2 ** 62)
     (tmp_path / "trailing.cftr").write_bytes((tmp_path / "ok.cftr").read_bytes() + b"\0")
+    raw = bytearray((tmp_path / "ok.cftr").read_bytes())
+    struct.pack_into("<I", raw, HEADERS[".cftr"][0].size, 0x7F800001)  # float32 signalling NaN
+    (tmp_path / "snan.cftr").write_bytes(bytes(raw))
     for name, index, value in (("alpha0", 5, 0.0), ("blocks0", 3, 0),
                                ("dim_huge", 2, 2 ** 32 - 1), ("hidden_huge", 4, 2 ** 32 - 1)):
         _with_header_field(tmp_path / "m.cflw", tmp_path / f"{name}.cflw", index, value)
@@ -438,6 +441,8 @@ BAD_INPUTS = {
     "clamp_alpha_0": ("train", {"data_path": "inl.csv", "model": {"clamp_alpha": 0}}, 2),
     "cftr_rows_2e62": ("train", {"data_path": "rows_2e62.cftr"}, 3),
     "cftr_trailing_bytes": ("score", _score("trailing.cftr"), 3),
+    # a NaN whose widening to float64 numpy warns about
+    "cftr_signalling_nan": ("score", _score("snan.cftr"), 2),
     "cflw_alpha_0": ("score", _score("inl.csv", "alpha0.cflw"), 3),
     "cflw_zero_blocks": ("score", _score("inl.csv", "blocks0.cflw"), 3),
     "cflw_dim_huge": ("score", _score("inl.csv", "dim_huge.cflw"), 3),

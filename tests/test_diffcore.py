@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -354,6 +355,23 @@ def test_adam_on_an_empty_store_only_counts_the_step():
     adam_step(store, store.new_grad(), lr=1e-3)
     adam_step(store, store.new_grad(), lr=1e-3)
     assert store.step == 2 and store.n_params() == 0
+
+
+def test_adam_step_working_memory_is_two_small_chunks():
+    # a step over 200000 parameters whose moments exist allocates its two
+    # scratch chunks of 16384 floats (256 KiB) and, before them, the range
+    # check's |g| chunk and mask; chunks of 65536 took 1 MiB
+    rng = np.random.default_rng(0)
+    store = store_of({"w": rng.standard_normal(200_000)})
+    grads = grad_of(store, {"w": rng.standard_normal(200_000)})
+    adam_step(store, grads, lr=1e-3)
+    tracemalloc.start()
+    try:
+        adam_step(store, grads, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * 16384 * 8 <= peak < 3 * 16384 * 8
 
 
 def test_adam_rejects_a_gradient_of_another_layout():

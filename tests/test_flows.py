@@ -2,13 +2,14 @@ import math
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnflow import diffcore, flows
+from cnflow import datasets, diffcore, flows
 from cnflow.errors import DimensionError, FormatError, NumericError
 from cnflow.training import nll_objective
 from helpers import finite_difference_grad, per_block_nll_with_backward
@@ -260,8 +261,8 @@ def test_cached_pass_keeps_each_hidden_activation_once():
     # tracemalloc peak of the cached forward pass of 2048x8 rows under a
     # model of 2 blocks with 2 hidden layers of width 256, in hidden
     # activations of the batch: each block's second hidden activation and
-    # one first hidden activation that both blocks share, plus 0.52 of
-    # coupling arrays (3.52 measured; 4.52 with a first hidden activation
+    # one first hidden activation that both blocks share, plus 0.51 of
+    # coupling arrays (3.51 measured; 4.51 with a first hidden activation
     # per block)
     model = flows.init_model(8, n_blocks=2, hidden_width=256, seed=0)
     x = np.random.default_rng(0).standard_normal((2048, 8))
@@ -277,11 +278,11 @@ def test_cached_pass_keeps_each_hidden_activation_once():
 
 
 def test_a_cached_workspace_holds_one_conditioner_output_array():
-    # the coupling blocks share the conditioner output and the first hidden
-    # activation, so the traced bytes of seven more blocks are seven sets
-    # of cond, trans, exp_s, th and the second hidden activation: each
-    # block adding an output array of its own would add 7 x 64 KiB more,
-    # and a first hidden array of its own 7 x 128 KiB
+    # the coupling blocks share exp(s), the conditioner output and the
+    # first hidden activation, so the traced bytes of seven more blocks are
+    # seven sets of cond, trans, th and the second hidden activation: each
+    # block adding an exp(s) array of its own would add 7 x 32 KiB more, an
+    # output array 7 x 64 KiB and a first hidden array 7 x 128 KiB
     rows, dim, hidden = 512, 16, 32
 
     def traced(n_blocks):
@@ -298,11 +299,13 @@ def test_a_cached_workspace_holds_one_conditioner_output_array():
     w = workspace.blocks[0]
     first, second, output = w.layers
     assert first.shape == second.shape == (rows, hidden) and output.shape == (rows, dim)
-    per_block = sum(a.nbytes for a in (w.cond, w.trans, w.exp_s, w.th, second))
-    assert 7 * per_block <= eight - one < 7 * per_block + output.nbytes
-    assert all(b.layers[0] is first and b.layers[-1] is output for b in workspace.blocks)
-    own = [(b.cond, b.trans, b.exp_s, b.th, b.layers[1]) for b in workspace.blocks]
-    assert len({id(a) for arrays in own for a in arrays}) == 5 * len(own)
+    assert w.exp_s.shape == (rows, dim // 2)
+    per_block = sum(a.nbytes for a in (w.cond, w.trans, w.th, second))
+    assert 7 * per_block <= eight - one < 7 * per_block + w.exp_s.nbytes
+    assert all(b.layers[0] is first and b.layers[-1] is output and b.exp_s is w.exp_s
+               for b in workspace.blocks)
+    own = [(b.cond, b.trans, b.th, b.layers[1]) for b in workspace.blocks]
+    assert len({id(a) for arrays in own for a in arrays}) == 4 * len(own)
 
 
 def test_a_short_workspace_or_weights_of_the_wrong_length_raise():
@@ -373,13 +376,32 @@ def test_nll_with_backward_weighs_the_nll_it_returns(dim, hidden, n_blocks, rows
 @pytest.mark.parametrize("activation", ["relu", "softplus"])
 def test_nll_with_backward_matches_blocks_with_caches_of_their_own(activation, dim, spare_rows,
                                                                     into):
-    # the shared first hidden activation, computed again before each
-    # block's backward, gives the bits of a pass in which every block keeps
-    # its own; the workspace first runs a full-size pass over other rows,
-    # so that a shorter batch finds stale rows below its own
+    # the shared first hidden activation and exp(s), computed again before
+    # each block's backward, give the bits of a pass in which every block
+    # keeps its own; the workspace first runs a full-size pass over other
+    # rows, so that a shorter batch finds stale rows below its own
+    check_against_blocks_with_caches_of_their_own(activation, dim, spare_rows, into)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+def test_nll_with_backward_matches_them_where_the_clamp_saturates(activation, dim):
+    # raw log-scales of +-3 and +-40 alpha drive the clamp's tanh close to
+    # and onto +-1, where exp(s) is computed again from th = +-1 and
+    # 1 - th^2 loses all of its bits
+    check_against_blocks_with_caches_of_their_own(activation, dim, 9, True, saturated=True)
+
+
+def check_against_blocks_with_caches_of_their_own(activation, dim, spare_rows, into,
+                                                  saturated=False):
     model = small_model(dim=dim, n_blocks=4, hidden=16, seed=dim, activation=activation)
     perturb(model, seed=dim)
     rng = np.random.default_rng(dim)
+    if saturated:
+        alpha, last = model.config.clamp_alpha, len(model.blocks[0].subnet.layer_dims()) - 1
+        for block in model.blocks:
+            bias = model.store.params[f"{block.prefix}b{last}"][:block.d_trans]
+            bias += alpha * rng.choice([-40.0, -3.0, 3.0, 40.0], block.d_trans)
     rows = 37
     x, weights = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
     workspace = flows.Workspace(model, rows + spare_rows, cached=True)
@@ -654,6 +676,24 @@ def test_load_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - 8])
     with pytest.raises(FormatError):
+        flows.load_model(path)
+
+
+@pytest.mark.parametrize("cut", ["inside_a_permutation", "inside_the_parameters"])
+def test_load_rejects_a_file_that_ends_after_its_size_check(tmp_path, monkeypatch, cut):
+    # the size check saw the whole file, then the file shrank: a short read
+    # of a permutation or of a parameter is refused, not left as zeros
+    model = small_model(dim=2, n_blocks=2, hidden=4, seed=25)
+    perturb(model, seed=26)
+    path = tmp_path / "model.cflw"
+    flows.save_model(model, path)
+    data = path.read_bytes()
+    block_bytes = 4 * 2 + 8 * model.store.n_params() // 2
+    keep = {"inside_a_permutation": 24 + block_bytes + 4,
+            "inside_the_parameters": len(data) - 40}[cut]
+    path.write_bytes(data[:keep])
+    monkeypatch.setattr(datasets.os, "fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+    with pytest.raises(FormatError, match="^model file ended inside its payload$"):
         flows.load_model(path)
 
 

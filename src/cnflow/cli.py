@@ -5,7 +5,7 @@ configs and emit plot-ready CSV / JSON artifacts (no figures):
 
   toy1d        1-D contrastive flow vs the analytic truncated difference
   toy2d        2-D comparison of the contrastive flow and the two-flow ratio
-  clamp-sweep  1-D toy retrained per clamp threshold
+  clamp-sweep  1-D toy retrained per clamp threshold on one draw of its samples
   mu-sweep     contaminated contrastive mixtures on synthetic clusters
   informed     known outliers mixed into the contrastive set
   tabular      marginal-permutation contrastive on correlated tabular data
@@ -204,7 +204,7 @@ def load_config(kind: str, path: str | None, overrides: dict) -> dict:
 def _fit_flow(cfg: dict, seed: int, inlier_set, contrastive_set=None, **extra):
     """cfg's model built from seed and trained on the sets, and its history."""
     tc = TrainConfig(**{**cfg["train"], "seed": seed, **extra})
-    model = flows.build_model(inlier_set.dim, FlowConfig(**cfg["model"]), seed)
+    model = flows.init_model(inlier_set.dim, **cfg["model"], seed=seed)
     return training.train(model, inlier_set, contrastive_set, tc)
 
 
@@ -245,29 +245,31 @@ def _write_density(path: Path, gd: oracle.GridDensity) -> None:
 # toy experiments
 
 def _toy1d_parts(cfg: dict):
+    """The inlier density, the oracle positive difference on the grid, the
+    grid, and the inlier and contrastive samples that every fit trains on."""
     p = oracle.GaussianSpec(cfg["inlier"]["mean"], cfg["inlier"]["sd"])
     q = oracle.GaussianSpec(cfg["contrastive"]["mean"], cfg["contrastive"]["sd"])
     grid = oracle.grid_1d(cfg["grid"]["lo"], cfg["grid"]["hi"], cfg["grid"]["n"])
-    return p, q, grid
-
-
-def _learned_toy1d(cfg: dict, epsilon: float, grid):
-    """The density on grid of the 1-D flow trained with clamp threshold
-    -epsilon, and its training history."""
+    pbar = oracle.positive_difference(p, q, grid)
     seed = cfg["seed"]
     inl = datasets.gen_gaussian(cfg["inlier"]["mean"], cfg["inlier"]["sd"],
                                 cfg["n_train"], seed=seed + 11)
     con = datasets.gen_gaussian(cfg["contrastive"]["mean"], cfg["contrastive"]["sd"],
                                 cfg["n_contrastive"], seed=seed + 22)
-    model, history = _fit_flow(cfg, seed, inl, con, clamp_tau=-epsilon)
+    return p, pbar, grid, inl, con
+
+
+def _learned_toy1d(cfg: dict, epsilon: float, grid, inl, con):
+    """The density on grid of the 1-D flow trained on inl and con with
+    clamp threshold -epsilon, and its training history."""
+    model, history = _fit_flow(cfg, cfg["seed"], inl, con, clamp_tau=-epsilon)
     return oracle.model_density_on_grid(partial(flows.log_prob, model), grid), history
 
 
 def run_toy1d(cfg: dict) -> dict:
     out = _out_dir(cfg)
-    p, q, grid = _toy1d_parts(cfg)
-    pbar = oracle.positive_difference(p, q, grid)
-    learned, history = _learned_toy1d(cfg, cfg["epsilon"], grid)
+    _, pbar, grid, inl, con = _toy1d_parts(cfg)
+    learned, history = _learned_toy1d(cfg, cfg["epsilon"], grid, inl, con)
     tv = oracle.tv_distance(learned, pbar)
     _write_density(out / "learned_density.csv", learned)
     _write_density(out / "oracle_density.csv", pbar)
@@ -285,11 +287,10 @@ def run_toy1d(cfg: dict) -> dict:
 
 def run_clamp_sweep(cfg: dict) -> list[dict]:
     out = _out_dir(cfg)
-    p, q, grid = _toy1d_parts(cfg)
-    pbar = oracle.positive_difference(p, q, grid)
+    p, pbar, grid, inl, con = _toy1d_parts(cfg)
     p_density = oracle.GridDensity(grid, oracle.density_values(p, oracle.grid_points(grid)))
     results = []
-    fits = run_tasks([partial(_learned_toy1d, cfg, eps, grid) for eps in cfg["epsilons"]])
+    fits = run_tasks([partial(_learned_toy1d, cfg, eps, grid, inl, con) for eps in cfg["epsilons"]])
     for k, (eps, (learned, _)) in enumerate(zip(cfg["epsilons"], fits)):
         _write_density(out / f"learned_density_eps{k}.csv", learned)
         results.append({

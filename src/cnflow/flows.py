@@ -106,12 +106,6 @@ class FlowModel:
         return len(self.blocks)
 
 
-def init_model(dim: int, n_blocks: int = 8, hidden_width: int = 512,
-               clamp_alpha: float = 3.0, seed: int = 0,
-               activation: str = "relu") -> FlowModel:
-    return build_model(dim, FlowConfig(n_blocks, hidden_width, clamp_alpha, activation), seed)
-
-
 def _subnet_spec(dim: int, cfg: FlowConfig) -> MlpSpec:
     """Conditioner of every block: the first ceil(dim / 2) permuted
     dimensions in, a raw log-scale and a shift per remaining dimension out."""
@@ -139,9 +133,12 @@ def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, fill) -> FlowModel:
     return FlowModel(dim, blocks, store, cfg)
 
 
-def build_model(dim: int, cfg: FlowConfig, seed: int = 0) -> FlowModel:
-    """Deterministic model for a given seed; the subnetwork output layers
-    are zero-initialized so the initial map is the permutations only."""
+def init_model(dim: int, n_blocks: int = 8, hidden_width: int = 512,
+               clamp_alpha: float = 3.0, seed: int = 0,
+               activation: str = "relu") -> FlowModel:
+    """The one builder of a fresh flow, deterministic for a given seed; the
+    zero-initialized subnet output layers leave the permutations only."""
+    cfg = FlowConfig(n_blocks, hidden_width, clamp_alpha, activation)
     subnet = _subnet_spec(dim, cfg)
     rng = np.random.default_rng(seed)
 

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable
 
 import numpy as np
@@ -11,7 +11,7 @@ import numpy as np
 from . import baselines
 from .diffcore import as_batch
 from .errors import ConfigError
-from .flows import FlowConfig, build_model
+from .flows import FlowConfig, init_model
 from .metrics import outlier_score
 from .training import TrainConfig, train
 
@@ -54,12 +54,12 @@ def fit_method(name: str, train_in, contrastive, cfg: TrainConfig,
         # both component flows are plain density estimators with the same
         # validation-NLL stopping rule, so the degenerate case where both
         # train on the same distribution stays symmetric
-        flow_in = build_model(dim, flow_config, seed)
+        flow_in = init_model(dim, **asdict(flow_config), seed=seed)
         train(flow_in, train_in, None, replace(cfg, objective="nll"))
-        flow_contr = build_model(dim, flow_config, seed + 1)
+        flow_contr = init_model(dim, **asdict(flow_config), seed=seed + 1)
         train(flow_contr, contrastive, None, replace(cfg, objective="nll"))
         return lambda x: baselines.ratio_score(flow_in, flow_contr, x)
-    flow = build_model(dim, flow_config, seed)
+    flow = init_model(dim, **asdict(flow_config), seed=seed)
     train(flow, train_in, contrastive, replace(cfg, objective=FLOW_OBJECTIVES[name]),
           val_contrastive_set=val_contrastive)
     return lambda x: outlier_score(flow, x)

@@ -139,7 +139,7 @@ def grid_points(axes: tuple[Array, ...]) -> Array:
     return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
 
 
-def grid_1d(lo: float, hi: float, n: int = DEFAULT_GRID_POINTS) -> tuple[Array]:
+def grid_1d(lo: float, hi: float, n: int) -> tuple[Array]:
     if not (hi > lo) or n < 2:
         raise GridError("need hi > lo and at least 2 points")
     return (np.linspace(lo, hi, n),)
@@ -150,16 +150,14 @@ def grid_2d(lo: float, hi: float, n: int) -> tuple[Array, Array]:
     return (axis, axis.copy())
 
 
-def default_grid(p: DensitySpec, q: DensitySpec,
-                 n: int = DEFAULT_GRID_POINTS,
-                 span_sds: float = DEFAULT_GRID_SPAN_SDS) -> tuple[Array, ...]:
-    """1-D grid covering every component mean +- span_sds * its sd."""
+def default_grid(p: DensitySpec, q: DensitySpec) -> tuple[Array, ...]:
+    """1-D grid covering every component mean +- DEFAULT_GRID_SPAN_SDS sds."""
     comps = _components(p) + _components(q)
     if any(c.dim != 1 for c in comps):
         raise DimensionError("default_grid only builds 1-D grids")
-    lo = min(float(c.mean[0]) - span_sds * c.max_sd() for c in comps)
-    hi = max(float(c.mean[0]) + span_sds * c.max_sd() for c in comps)
-    return grid_1d(lo, hi, n)
+    lo = min(float(c.mean[0]) - DEFAULT_GRID_SPAN_SDS * c.max_sd() for c in comps)
+    hi = max(float(c.mean[0]) + DEFAULT_GRID_SPAN_SDS * c.max_sd() for c in comps)
+    return grid_1d(lo, hi, DEFAULT_GRID_POINTS)
 
 
 def _lattice_values(source: DensitySpec, axes: tuple[Array, ...]) -> Array:

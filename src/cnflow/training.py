@@ -245,7 +245,7 @@ def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
             history.train_loss.append(_mean(losses, "epoch loss"))
             metric = None
             proxy = None
-            if val_in is not None and val_in.shape[0] > 0:
+            if val_in is not None:
                 if val_c is not None and val_c.shape[0] > 0:
                     proxy = proxy_auroc(model, val_in, val_c)
                     metric = proxy            # maximize

@@ -84,6 +84,21 @@ def test_clamp_sweep_files_per_epsilon(tmp_path):
     assert [row["epsilon"] for row in tvs] == [0.0, -3.0, -6.0]
 
 
+def test_clamp_sweep_draws_its_samples_once(tmp_path, monkeypatch):
+    # every threshold's fit trains on the one inlier and one contrastive draw
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return gen_gaussian(*args, **kwargs)
+
+    monkeypatch.setattr(datasets, "gen_gaussian", counted)
+    cfg = cli.load_config("clamp-sweep", None, {"out": str(tmp_path), "seed": 0})
+    cfg = cli._merge(cfg, dict(FAST_TOY1D, train={"max_epochs": 1}, epsilons=[0.0, -3.0, -6.0]))
+    assert len(cli.run_clamp_sweep(cfg)) == 3
+    assert draws == [11, 22]
+
+
 def test_toy2d_artifacts_and_grid_range(tmp_path):
     cfg = cli.load_config("toy2d", None, {"out": str(tmp_path), "seed": 0})
     cfg = cli._merge(cfg, {"n_train": 2000, "n_contrastive": 2000,

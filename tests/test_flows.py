@@ -636,7 +636,7 @@ def test_load_reads_the_payload_without_a_random_init(tmp_path, monkeypatch):
     def no_init(*args, **kwargs):
         raise AssertionError("load_model drew a random model")
 
-    monkeypatch.setattr(flows, "build_model", no_init)
+    monkeypatch.setattr(flows, "init_model", no_init)
     monkeypatch.setattr(flows, "init_mlp_params", no_init)
     loaded = flows.load_model(path)
     for block, want in zip(loaded.blocks, model.blocks):

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -228,7 +228,7 @@ def test_flow_ratio_holds_no_moments_of_its_first_flow_while_the_second_fits():
     rng = np.random.default_rng(0)
     inliers, contrastive = rng.standard_normal((128, 16)), 1.5 * rng.standard_normal((128, 16))
     flow_config = flows.FlowConfig(hidden_width=512)
-    n_params = flows.build_model(16, flow_config).store.n_params()
+    n_params = flows.init_model(16, **asdict(flow_config)).store.n_params()
     assert n_params > 2_000_000
     cfg = TrainConfig(batch_size=64, max_epochs=1, val_fraction=0.25)
     tracemalloc.start()

@@ -3,9 +3,9 @@
 A batch (rows = samples) is what as_batch makes of any library input.
 The module provides exactly what the coupling subnetworks need: MLP
 forward/backward with an activation cache, an in-place Adam step over a
-ParamStore that reads a gradient laid out like its parameters, the
-thread count of the BLAS that runs the matmuls, and run_tasks, which runs
-the row blocks of a flow pass or the fits of an experiment on workers.
+ParamStore and an AdamState, the thread count of the BLAS that runs the
+matmuls, and run_tasks, which runs the row blocks of a flow pass or the
+fits of an experiment on workers.
 
 The forward pass computes each layer in place in its matmul output, in
 caller-given arrays if there are any, and the cache keeps those outputs.
@@ -18,12 +18,12 @@ it adds into a gradient, one weight-gradient product) comes from an
 MlpScratch that a caller can keep from call to call.  Every product is
 computed as a fresh one would be, so no bit depends on where it lands.
 
-A ParamStore keeps its parameters, its two Adam moments and each gradient
-as views of one flat float64 array per kind (a FlatViews dict), all laid
-out alike: the backward pass writes (or adds) each weight and bias
-gradient into its view in place, the Adam step runs over the flat arrays
-in chunks that stay in cache, and a fit's early-stopping snapshot of the
-parameters is one copy of the flat array.
+A ParamStore keeps its parameters and each gradient as views of one flat
+float64 array (a FlatViews dict), and a fit's AdamState keeps Adam's two
+moments in flat arrays laid out alike: the backward pass writes (or
+adds) each weight and bias gradient into its view in place, the Adam
+step runs over the flat arrays in chunks that stay in cache, and a fit's
+early-stopping snapshot of the parameters is one copy of the flat array.
 """
 
 from __future__ import annotations
@@ -233,43 +233,30 @@ class FlatViews(dict):
 
 
 class ParamStore:
-    """Named parameter arrays with parallel Adam moment arrays, built once
-    from the shape of every parameter; the parameters start at zero.
+    """Named parameter arrays, built once from the shape of every
+    parameter: `params` is a FlatViews over `flat`, one float64 array of
+    their total size.  Adam's state is a fit's AdamState, not the store's."""
 
-    `params`, `m` and `v` are FlatViews over three flat arrays.  m and v
-    are allocated on first use, so a model only scored never holds them,
-    and reset_optimizer releases them, so a fitted one holds them no
-    longer than its fit: np.zeros is calloc, whose pages stay untouched
-    only while the allocator maps fresh ones, and once it reuses freed
-    heap memory for a large array it clears (and so touches) every page
-    of it."""
-
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], flat: Array):
         self.shapes = dict(shapes)
-        self.params = FlatViews(self.shapes, np.zeros(sum(map(math.prod, self.shapes.values()))))
-        self.step = 0
-
-    @functools.cached_property
-    def m(self) -> FlatViews:
-        return FlatViews(self.shapes, np.zeros(self.n_params()))
-
-    @functools.cached_property
-    def v(self) -> FlatViews:
-        return FlatViews(self.shapes, np.zeros(self.n_params()))
+        self.params = FlatViews(self.shapes, flat)
 
     def new_grad(self) -> FlatViews:
         """An uninitialised gradient, laid out like the parameters."""
         return FlatViews(self.shapes)
 
-    def reset_optimizer(self) -> None:
-        """Release both moment arrays and set step to 0: the next Adam
-        step allocates zero moments, as a new store's first step does."""
-        self.__dict__.pop("m", None)
-        self.__dict__.pop("v", None)
-        self.step = 0
-
     def n_params(self) -> int:
         return self.params.flat.size
+
+
+class AdamState:
+    """Adam's two moments, zero at first, in flat float64 arrays laid out
+    like a store's n_params parameters, and the count of steps taken."""
+
+    def __init__(self, n_params: int):
+        self.m = np.zeros(n_params)
+        self.v = np.zeros(n_params)
+        self.step = 0
 
 
 def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, zero_last: bool = False) -> dict[str, Array]:
@@ -437,14 +424,16 @@ def _gradient_in_range(flat: Array) -> bool:
                for lo in range(0, flat.size, _ADAM_CHUNK))
 
 
-def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
-    """In-place Adam update with bias correction from `grads`, a gradient
-    laid out like the parameters (as `store.new_grad()` makes one); `grads`
-    is only read.  A gradient entry that is not finite or lies beyond
-    +-2**511 raises NumericError naming its parameter before anything is
-    updated."""
+def adam_step(store: ParamStore, grads: FlatViews, lr: float, state: AdamState) -> None:
+    """In-place Adam update, with bias correction, of the store's
+    parameters and `state` from `grads`, a gradient laid out like the
+    parameters (as `store.new_grad()` makes one), which is only read.  A
+    gradient entry that is not finite or lies beyond +-2**511 raises
+    NumericError naming its parameter before anything is updated."""
     if not isinstance(grads, FlatViews) or grads.flat.size != store.n_params():
         raise DimensionError("the gradient must be a FlatViews of the store's size")
+    if state.m.size != store.n_params():
+        raise DimensionError("the Adam state must be of the store's size")
     flat_g = grads.flat
     n = flat_g.size
     if not _gradient_in_range(flat_g):  # name the first parameter whose gradient is out of range
@@ -452,7 +441,7 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
             if not _gradient_in_range(g.reshape(-1)):
                 raise NumericError(f"non-finite or overlarge gradient for {name!r}; "
                                    "parameters unchanged")
-    t = store.step + 1
+    t = state.step + 1
     c1 = 1.0 - _BETA1 ** t
     c2 = 1.0 - _BETA2 ** t
     # the operations and their order are those of
@@ -462,7 +451,7 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
     scratch_a, scratch_b = np.empty(min(n, _ADAM_CHUNK)), np.empty(min(n, _ADAM_CHUNK))
     for lo in range(0, n, _ADAM_CHUNK):
         hi = min(lo + _ADAM_CHUNK, n)
-        p, m, v = store.params.flat[lo:hi], store.m.flat[lo:hi], store.v.flat[lo:hi]
+        p, m, v = store.params.flat[lo:hi], state.m[lo:hi], state.v[lo:hi]
         g = flat_g[lo:hi]
         a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
         m *= _BETA1
@@ -479,4 +468,4 @@ def adam_step(store: ParamStore, grads: FlatViews, lr: float) -> None:
         np.multiply(lr, a, out=a)
         a /= b
         p -= a
-    store.step = t
+    state.step = t

@@ -122,8 +122,10 @@ def _assemble(dim: int, cfg: FlowConfig, subnet: MlpSpec, fill) -> FlowModel:
     returns once it has written the block's subnet parameters into
     `views`, a name -> array dict of their places in the model's store."""
     shapes = subnet.param_shapes()
+    # allocated before any per-block structure: numpy refuses a size it cannot hold
+    flat = np.zeros(cfg.n_blocks * sum(map(math.prod, shapes.values())))
     store = ParamStore({f"blk{i}.{name}": shape
-                        for i in range(cfg.n_blocks) for name, shape in shapes.items()})
+                        for i in range(cfg.n_blocks) for name, shape in shapes.items()}, flat)
     blocks = []
     for i in range(cfg.n_blocks):
         prefix = f"blk{i}."

@@ -4,7 +4,7 @@ one-sided Wilcoxon signed-rank test.
 AUROC is the rank-based (Mann-Whitney) statistic: the fraction of
 (outlier, inlier) pairs where the outlier scores higher, ties counted
 half.  Values are kept in [0, 1]; the CLI multiplies by 100 when
-writing tables.
+writing tables.  Each metric refuses a non-finite score (NumericError).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, DimensionError
+from .diffcore import require_finite
+from .errors import DegenerateDataError, DimensionError, NumericError
 from .flows import log_prob
 
 Array = np.ndarray
@@ -26,6 +27,12 @@ WILCOXON_EXACT_LIMIT = 20
 def outlier_score(model, x) -> Array:
     """Negative log density under the model; higher = more outlier."""
     return -log_prob(model, x)
+
+
+def _finite(values, what: str) -> Array:
+    """values as a float64 array; NumericError for a non-finite entry."""
+    return require_finite(np.asarray(values, dtype=np.float64), NumericError,
+                          f"{what} contain non-finite values")
 
 
 def _average_ranks(values: Array) -> Array:
@@ -42,7 +49,7 @@ def auroc(inlier_scores, outlier_scores) -> float:
     s_out = np.asarray(outlier_scores, dtype=np.float64)
     if s_in.size == 0 or s_out.size == 0:
         raise DegenerateDataError("auroc needs non-empty score sets for both classes")
-    ranks = _average_ranks(np.concatenate([s_out, s_in]))
+    ranks = _average_ranks(_finite(np.concatenate([s_out, s_in]), "scores"))
     r_out = ranks[:s_out.size].sum()
     u = r_out - s_out.size * (s_out.size + 1) / 2.0
     return float(u / (s_out.size * s_in.size))
@@ -59,7 +66,7 @@ def roc_curve(inlier_scores, outlier_scores) -> Array:
     s_out = np.asarray(outlier_scores, dtype=np.float64)
     if s_in.size == 0 or s_out.size == 0:
         raise DegenerateDataError("roc_curve needs non-empty score sets for both classes")
-    thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
+    thresholds = np.unique(_finite(np.concatenate([s_in, s_out]), "scores"))[::-1]
     in_sorted = np.sort(s_in)
     out_sorted = np.sort(s_out)
     fpr = (s_in.size - np.searchsorted(in_sorted, thresholds, side="left")) / s_in.size
@@ -81,7 +88,7 @@ def histogram(scores, n_bins: int, value_range: tuple[float, float]) -> tuple[Ar
         raise ValueError("invalid histogram range")
     if not math.isfinite(hi - lo):
         raise ValueError(f"histogram range [{lo!r}, {hi!r}] is wider than the largest float")
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite(scores, "histogram scores")
     counts, edges = np.histogram(np.clip(scores, lo, hi), bins=n_bins, range=(lo, hi))
     return edges, counts
 
@@ -94,8 +101,8 @@ def wilcoxon_signed_rank(paired_a, paired_b) -> float:
     the tie-corrected normal approximation beyond that.  All-zero
     differences return p = 1.0 (no evidence) by convention.
     """
-    a = np.asarray(paired_a, dtype=np.float64)
-    b = np.asarray(paired_b, dtype=np.float64)
+    a = _finite(paired_a, "paired scores")
+    b = _finite(paired_b, "paired scores")
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionError("paired inputs must be equal-length vectors")
     d = a - b

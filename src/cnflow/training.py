@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .diffcore import (FlatViews, adam_step, as_batch, require_finite, require_ints,
+from .diffcore import (AdamState, FlatViews, adam_step, as_batch, require_finite, require_ints,
                        require_positive_reals)
 from .errors import DegenerateDataError, NumericError
 from .flows import FlowModel, Workspace, log_prob, nll_with_backward, weighted_nll_grad
@@ -166,18 +166,10 @@ def train(model: FlowModel, inlier_set, contrastive_set=None,
     contrastive set is a contaminated mixture), also for the nll
     objective; otherwise its split is carved out of the contrastive set.
 
-    Each phase starts Adam afresh, whatever optimizer state the model's
-    store holds, and the fit releases the moments when it returns or
-    raises, so a fitted model holds only its parameters.
+    Each phase makes its own AdamState, zero moments at step 0, once the
+    previous phase's is released.  The state is the fit's, not the
+    model's, so a fitted model holds only its parameters.
     """
-    try:
-        return _fit(model, inlier_set, contrastive_set, cfg, val_contrastive_set)
-    finally:
-        model.store.reset_optimizer()
-
-
-def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
-         val_contrastive_set) -> tuple[FlowModel, TrainHistory]:
     if cfg is None:
         cfg = TrainConfig()
     data_in = as_batch(inlier_set, model.dim)
@@ -217,7 +209,7 @@ def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
     if cfg.objective == "cf_ft":
         phases.append(("contrastive", FINETUNE_EPOCHS, False, rng_ft_in, rng_ft_c))
     for objective, max_epochs, early_stop, shuffle_in, shuffle_c in phases:
-        model.store.reset_optimizer()
+        adam = AdamState(model.store.n_params())
         contrastive = objective == "contrastive"
         steps_c = _epoch_batches(rows_c.size, cfg.batch_size) if contrastive else 0
         steps = max(steps_in, steps_c)
@@ -238,7 +230,7 @@ def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
                                                         workspace=workspace)
                 else:
                     loss, grads = nll_objective(model, xb, workspace=workspace)
-                adam_step(model.store, grads, cfg.lr)
+                adam_step(model.store, grads, cfg.lr, adam)
                 # freed now, not when the next step's gradient replaces it
                 del grads
                 losses.append(loss)
@@ -269,6 +261,7 @@ def _fit(model: FlowModel, inlier_set, contrastive_set, cfg: TrainConfig | None,
                 history.best_epoch = epoch
         if best_metric is not None:
             model.store.params.flat[...] = best_params
+        del adam  # before the next phase makes its own
     return model, history
 
 

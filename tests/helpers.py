@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from cnflow.diffcore import FlatViews, ParamStore, mlp_backward, mlp_forward
+from cnflow.diffcore import AdamState, FlatViews, ParamStore, mlp_backward, mlp_forward
 from cnflow.errors import DimensionError, NumericError
 from cnflow.flows import FlowModel, log_prob, weighted_nll_grad
 from cnflow.oracle import LOG_2PI, GaussianSpec
@@ -21,7 +21,8 @@ Array = np.ndarray
 
 def store_of(arrays: dict[str, Array]) -> ParamStore:
     """A ParamStore holding copies of the named arrays."""
-    store = ParamStore({name: np.shape(value) for name, value in arrays.items()})
+    store = ParamStore({name: np.shape(value) for name, value in arrays.items()},
+                       np.zeros(sum(np.size(value) for value in arrays.values())))
     for name, value in arrays.items():
         store.params[name][...] = value
     return store
@@ -109,23 +110,24 @@ def two_pass_contrastive(model: FlowModel, pos: Array, neg: Array,
     return float(nll_pos.mean() - np.minimum(nll_neg, tau).mean()), grads
 
 
-def per_name_adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
+def per_name_adam_step(store: ParamStore, grads: dict[str, Array], lr: float, state: AdamState,
                        beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """The Adam step of diffcore.adam_step run one parameter at a time,
-    each through the whole operation chain, with scratch arrays sized to
-    the largest parameter."""
+    each through the whole operation chain on per-name views of the
+    state's moments, with scratch arrays sized to the largest parameter."""
     for name in store.params:
         if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"non-finite gradient for {name!r}; parameters unchanged")
-    t = store.step + 1
+    t = state.step + 1
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     size = max((p.size for p in store.params.values()), default=0)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
+    moments_m, moments_v = FlatViews(store.shapes, state.m), FlatViews(store.shapes, state.v)
     for name, p in store.params.items():
         g = grads[name]
-        m = store.m[name]
-        v = store.v[name]
+        m = moments_m[name]
+        v = moments_v[name]
         a = scratch_a[:p.size].reshape(p.shape)
         b = scratch_b[:p.size].reshape(p.shape)
         m *= beta1
@@ -142,7 +144,7 @@ def per_name_adam_step(store: ParamStore, grads: dict[str, Array], lr: float,
         np.multiply(lr, a, out=a)
         a /= b
         p -= a
-    store.step = t
+    state.step = t
 
 
 def difference_support_1d(p: GaussianSpec, q: GaussianSpec) -> list[tuple[float, float]]:

@@ -464,6 +464,8 @@ BAD_INPUTS = {
     "cflw_hidden_huge": ("score", _score("inl.csv", "hidden_huge.cflw"), 3),
     "n_blocks_2.5": _nll_train(model={"n_blocks": 2.5}),
     "n_blocks_true": _nll_train(model={"n_blocks": True}),
+    # more parameters than numpy can allocate, refused before any block is built
+    "n_blocks_1e30": _nll_train(model={"n_blocks": 10 ** 30, "hidden_width": 4}),
     "hidden_width_2.5": _nll_train(model={"hidden_width": 2.5}),
     "max_epochs_1.5": _nll_train(train={"max_epochs": 1.5}),
     "batch_size_2.5": _nll_train(train={"batch_size": 2.5}),

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from cnflow import diffcore
 from cnflow.datasets import FeatureSet
-from cnflow.diffcore import (MlpSpec, ParamStore, adam_step, as_batch, init_mlp_params,
-                             mlp_backward, mlp_forward)
+from cnflow.diffcore import (AdamState, MlpSpec, ParamStore, adam_step, as_batch,
+                             init_mlp_params, mlp_backward, mlp_forward)
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 from helpers import finite_difference_grad, per_name_adam_step, store_of
 
@@ -219,26 +219,29 @@ def test_finite_difference_constant():
 
 def test_adam_first_step_magnitude():
     store = store_of({"p": np.array([1.0])})
-    adam_step(store, grad_of(store, {"p": np.ones(1)}), lr=1e-3)
+    state = AdamState(store.n_params())
+    adam_step(store, grad_of(store, {"p": np.ones(1)}), lr=1e-3, state=state)
     # bias-corrected first step is lr * g / (|g| + eps)
     assert store.params["p"][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
-    assert store.step == 1
+    assert state.step == 1
 
 
 def test_adam_zero_grad_fixed_point():
     store = store_of({"p": np.array([0.7, -0.3])})
     before = store.params["p"].copy()
-    adam_step(store, grad_of(store, {"p": np.zeros(2)}), lr=1e-3)
+    adam_step(store, grad_of(store, {"p": np.zeros(2)}), lr=1e-3, state=AdamState(2))
     assert np.max(np.abs(store.params["p"] - before)) < 1e-3 * 1e-6
 
 
 def test_adam_nan_grad_leaves_params_unchanged():
     store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
+    state = AdamState(store.n_params())
     with pytest.raises(NumericError, match="gradient for 'q'; parameters unchanged"):
-        adam_step(store, grad_of(store, {"p": np.ones(1), "q": np.array([np.nan])}), lr=1e-3)
+        adam_step(store, grad_of(store, {"p": np.ones(1), "q": np.array([np.nan])}), lr=1e-3,
+                  state=state)
     assert store.params["p"][0] == 1.0
     assert store.params["q"][0] == 2.0
-    assert store.step == 0
+    assert state.step == 0 and not state.m.any() and not state.v.any()
 
 
 @pytest.mark.parametrize("bad", [np.inf, 2.0 ** 511 * (1 + 2 ** -52), -1e160])
@@ -246,13 +249,14 @@ def test_adam_refuses_an_overlarge_gradient_and_changes_nothing(bad):
     # a finite gradient whose square overflows would make v infinite and
     # freeze its parameter; the step refuses it as it refuses a NaN
     store = store_of({"p": np.array([1.0, -1.0]), "q": np.array([2.0])})
-    adam_step(store, grad_of(store, {"p": [0.5, -0.5], "q": [1.0]}), lr=1e-3)
-    before = [getattr(store, kind).flat.copy() for kind in ("params", "m", "v")]
+    state = AdamState(store.n_params())
+    adam_step(store, grad_of(store, {"p": [0.5, -0.5], "q": [1.0]}), lr=1e-3, state=state)
+    before = [flat.copy() for flat in (store.params.flat, state.m, state.v)]
     with pytest.raises(NumericError, match="gradient for 'p'; parameters unchanged"):
-        adam_step(store, grad_of(store, {"p": [0.5, bad], "q": [1.0]}), lr=1e-3)
-    for kind, flat in zip(("params", "m", "v"), before):
-        assert getattr(store, kind).flat.tobytes() == flat.tobytes()
-    assert store.step == 1
+        adam_step(store, grad_of(store, {"p": [0.5, bad], "q": [1.0]}), lr=1e-3, state=state)
+    for flat, saved in zip((store.params.flat, state.m, state.v), before):
+        assert flat.tobytes() == saved.tobytes()
+    assert state.step == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,35 +268,40 @@ def test_accepted_adam_steps_keep_the_store_finite(grads, lr, seed):
     # accepted and leaves the moments and parameters finite, without a
     # numpy warning; any other is refused and changes nothing
     store = store_of({"p": np.random.default_rng(seed).uniform(-2.0, 2.0, size=3)})
+    state = AdamState(store.n_params())
     for g in grads:
-        before = [kind.flat.copy() for kind in (store.params, store.m, store.v)]
-        step = store.step
+        kinds = (store.params.flat, state.m, state.v)
+        before = [flat.copy() for flat in kinds]
+        step = state.step
         if max(map(abs, g)) <= 2.0 ** 511:
-            adam_step(store, grad_of(store, {"p": g}), lr=lr)
-            assert store.step == step + 1
+            adam_step(store, grad_of(store, {"p": g}), lr=lr, state=state)
+            assert state.step == step + 1
         else:
             with pytest.raises(NumericError, match="overlarge gradient for 'p'"):
-                adam_step(store, grad_of(store, {"p": g}), lr=lr)
-            assert store.step == step
-            for kind, flat in zip((store.params, store.m, store.v), before):
-                assert kind.flat.tobytes() == flat.tobytes()
-        for kind in (store.params, store.m, store.v):
-            assert np.all(np.isfinite(kind.flat))
+                adam_step(store, grad_of(store, {"p": g}), lr=lr, state=state)
+            assert state.step == step
+            for flat, saved in zip(kinds, before):
+                assert flat.tobytes() == saved.tobytes()
+        for flat in kinds:
+            assert np.all(np.isfinite(flat))
 
 
-def test_reset_optimizer_releases_the_moments():
-    # the next step allocates zero moments, as a new store's first step does
+def test_a_fresh_adam_state_steps_like_a_new_store():
+    # a stepped store given a new state (zero moments at step 0) steps as
+    # a new store of the same parameters does: nothing carries over
     store = store_of({"p": np.array([1.0, 2.0])})
     fresh = store_of({"p": np.array([1.0, 2.0])})
     grads = grad_of(store, {"p": [0.3, -0.7]})
-    adam_step(store, grads, lr=1e-2)
+    adam_step(store, grads, lr=1e-2, state=AdamState(2))
     store.params.flat[...] = fresh.params.flat
-    store.reset_optimizer()
-    assert "m" not in vars(store) and "v" not in vars(store) and store.step == 0
-    adam_step(store, grads, lr=1e-2)
-    adam_step(fresh, grads, lr=1e-2)
-    for kind in ("params", "m", "v"):
-        assert getattr(store, kind).flat.tobytes() == getattr(fresh, kind).flat.tobytes()
+    state, fresh_state = AdamState(2), AdamState(2)
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+    adam_step(store, grads, lr=1e-2, state=state)
+    adam_step(fresh, grads, lr=1e-2, state=fresh_state)
+    assert store.params.flat.tobytes() == fresh.params.flat.tobytes()
+    assert state.step == fresh_state.step == 1
+    assert state.m.tobytes() == fresh_state.m.tobytes()
+    assert state.v.tobytes() == fresh_state.v.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -308,11 +317,12 @@ def test_adam_matches_scalar_resimulation(shapes, steps, lr, seed):
                       for k, shape in enumerate(shapes)})
     # per coordinate: [theta, m, v]
     ref = {name: [[float(x), 0.0, 0.0] for x in p.ravel()] for name, p in store.params.items()}
+    state = AdamState(store.n_params())
     for t in range(1, steps + 1):
         grads = grad_of(store, {name: 2.0 * (p - 1.0) for name, p in store.params.items()})
         before = {name: g.copy() for name, g in grads.items()}
-        adam_step(store, grads, lr=lr)
-        assert store.step == t
+        adam_step(store, grads, lr=lr, state=state)
+        assert state.step == t
         for name, coords in ref.items():
             assert np.array_equal(grads[name], before[name])
             for coord in coords:
@@ -341,33 +351,37 @@ def test_chunked_adam_is_bitwise_the_per_name_step(shapes, big, steps, lr, seed)
     init = {name: rng.uniform(-2.0, 2.0, size=shape) for name, shape in named.items()}
     store, oracle = store_of(init), store_of(init)
     assert store.n_params() == sum(p.size for p in init.values())
+    state, oracle_state = AdamState(store.n_params()), AdamState(store.n_params())
     for t in range(1, steps + 1):
         grads = grad_of(store, {name: rng.standard_normal(shape) for name, shape in named.items()})
-        adam_step(store, grads, lr=lr)
-        per_name_adam_step(oracle, grads, lr=lr)
-        assert store.step == oracle.step == t
-        for kind in ("params", "m", "v"):
-            assert getattr(store, kind).flat.tobytes() == getattr(oracle, kind).flat.tobytes()
+        adam_step(store, grads, lr=lr, state=state)
+        per_name_adam_step(oracle, grads, lr=lr, state=oracle_state)
+        assert state.step == oracle_state.step == t
+        assert store.params.flat.tobytes() == oracle.params.flat.tobytes()
+        assert state.m.tobytes() == oracle_state.m.tobytes()
+        assert state.v.tobytes() == oracle_state.v.tobytes()
 
 
 def test_adam_on_an_empty_store_only_counts_the_step():
-    store = ParamStore({})
-    adam_step(store, store.new_grad(), lr=1e-3)
-    adam_step(store, store.new_grad(), lr=1e-3)
-    assert store.step == 2 and store.n_params() == 0
+    store = ParamStore({}, np.zeros(0))
+    state = AdamState(0)
+    adam_step(store, store.new_grad(), lr=1e-3, state=state)
+    adam_step(store, store.new_grad(), lr=1e-3, state=state)
+    assert state.step == 2 and store.n_params() == 0
 
 
 def test_adam_step_working_memory_is_two_small_chunks():
-    # a step over 200000 parameters whose moments exist allocates its two
-    # scratch chunks of 16384 floats (256 KiB) and, before them, the range
-    # check's |g| chunk and mask; chunks of 65536 took 1 MiB
+    # a step over 200000 parameters allocates its two scratch chunks of
+    # 16384 floats (256 KiB) and, before them, the range check's |g| chunk
+    # and mask; chunks of 65536 took 1 MiB
     rng = np.random.default_rng(0)
     store = store_of({"w": rng.standard_normal(200_000)})
     grads = grad_of(store, {"w": rng.standard_normal(200_000)})
-    adam_step(store, grads, lr=1e-3)
+    state = AdamState(store.n_params())
+    adam_step(store, grads, lr=1e-3, state=state)
     tracemalloc.start()
     try:
-        adam_step(store, grads, lr=1e-3)
+        adam_step(store, grads, lr=1e-3, state=state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -376,12 +390,22 @@ def test_adam_step_working_memory_is_two_small_chunks():
 
 def test_adam_rejects_a_gradient_of_another_layout():
     # a plain dict, or a FlatViews of another size, is not the store's
-    # gradient; the step leaves the store as it was
+    # gradient; the step leaves the store and its state as they were
     store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
-    for grads in ({"p": np.ones(1), "q": np.ones(1)}, ParamStore({"p": (1,)}).new_grad()):
+    state = AdamState(2)
+    for grads in ({"p": np.ones(1), "q": np.ones(1)}, ParamStore({"p": (1,)}, np.zeros(1)).new_grad()):
         with pytest.raises(DimensionError, match="FlatViews of the store's size"):
-            adam_step(store, grads, lr=1e-3)
-    assert store.params.flat.tolist() == [1.0, 2.0] and store.step == 0
+            adam_step(store, grads, lr=1e-3, state=state)
+    assert store.params.flat.tolist() == [1.0, 2.0] and state.step == 0
+
+
+def test_adam_rejects_a_state_of_another_size():
+    store = store_of({"p": np.array([1.0]), "q": np.array([2.0])})
+    for state in (AdamState(1), AdamState(3)):
+        with pytest.raises(DimensionError, match="Adam state must be of the store's size"):
+            adam_step(store, grad_of(store, {"p": [1.0], "q": [1.0]}), lr=1e-3, state=state)
+        assert state.step == 0 and not state.m.any() and not state.v.any()
+    assert store.params.flat.tolist() == [1.0, 2.0]
 
 
 def test_store_views_share_one_flat_array_per_kind():
@@ -389,7 +413,7 @@ def test_store_views_share_one_flat_array_per_kind():
     assert np.array_equal(store.params.flat, [0, 1, 2, 3, 4, 5, 7])
     store.params["b"][...] = 9.0
     assert store.params.flat[-1] == 9.0
-    for kind in (store.m, store.v, store.new_grad()):
+    for kind in (store.params, store.new_grad()):
         assert list(kind) == ["w", "e", "b"]
         assert all(np.shares_memory(view, kind.flat) for view in kind.values() if view.size)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import cli, datasets, flows
-from cnflow.errors import DegenerateDataError
+from cnflow.errors import DegenerateDataError, NumericError
 from cnflow.metrics import (ScoreReport, auroc, histogram, outlier_score, roc_curve,
                             wilcoxon_signed_rank)
 from helpers import roc_area
@@ -170,6 +171,25 @@ def test_a_range_wider_than_the_largest_float_raises_without_a_warning():
 def test_histogram_conservation_property(scores, n_bins):
     _, counts = histogram(scores, n_bins, (-10.0, 10.0))
     assert counts.sum() == len(scores)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_score_is_refused_at_every_position(data, n, bad):
+    # NaN and +-inf have no rank, threshold or bin: each metric raises
+    # NumericError, whichever argument holds one and wherever it is, where
+    # auroc([nan, 1.0], [2.0]) once gave 0.5 and histogram dropped the NaN
+    finite = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    clean = [data.draw(finite), data.draw(finite)]
+    for side, pos in itertools.product(range(2), range(n)):
+        pair = [list(clean[0]), list(clean[1])]
+        pair[side][pos] = bad
+        for metric in (auroc, roc_curve, wilcoxon_signed_rank, partial(ScoreReport, "m")):
+            with pytest.raises(NumericError, match="non-finite"):
+                metric(*pair)
+        with pytest.raises(NumericError, match="non-finite"):
+            histogram(pair[side], 4, (0.0, 2.0))
 
 
 # --- Wilcoxon signed-rank ----------------------------------------------------

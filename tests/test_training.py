@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnflow import cli, flows, methods, training
-from cnflow.diffcore import adam_step
+from cnflow.diffcore import AdamState, adam_step
 from cnflow.datasets import FeatureSet, gen_gaussian, load_features, save_features
 from cnflow.errors import DegenerateDataError, DimensionError, NumericError
 from cnflow.training import (FINETUNE_EPOCHS, TrainConfig, contrastive_objective, nll_objective,
@@ -47,15 +48,14 @@ def test_nll_decreases_during_training():
     # 50 full-batch Adam steps on standard-normal data from identity init:
     # deterministic descent toward the empirical optimum, so the loss must
     # drop in at least 45 of the 50 steps
-    from cnflow.diffcore import adam_step
-
     model = small_model(dim=1, seed=3)
     data = np.random.default_rng(1).standard_normal((512, 1))
+    state = AdamState(model.store.n_params())
     losses = []
     for _ in range(51):
         loss, grads = nll_objective(model, data)
         losses.append(loss)
-        adam_step(model.store, grads, 1e-3)
+        adam_step(model.store, grads, 1e-3, state)
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops >= 45
 
@@ -136,57 +136,80 @@ def test_contrastive_training_holds_one_gradient_and_one_snapshot():
     # width 512), clamp active on about half the contrastive rows, above
     # the built model: one parameter snapshot, one gradient and the cached
     # activations of a batch, under 3 x 8 bytes per parameter (a gradient
-    # per batch and a fresh snapshot per improving epoch read 4.3x)
+    # per batch and a fresh snapshot per improving epoch read 4.3x).  A
+    # cf_ft fit holds one moment pair too: its finetune makes its state
+    # once the NLL phase's is released
     rng = np.random.default_rng(0)
     inliers, contrastive = rng.standard_normal((640, 16)), 1.5 * rng.standard_normal((640, 16))
-    model = small_model(dim=16, seed=1, hidden=512, n_blocks=8)
-    n_params = model.store.n_params()
-    assert n_params > 2_000_000
-    tau = float(np.median(-flows.log_prob(model, contrastive)))
-    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, clamp_tau=tau,
-                      val_fraction=0.2, seed=0)
+    for objective in ("contrastive", "cf_ft"):
+        model = small_model(dim=16, seed=1, hidden=512, n_blocks=8)
+        n_params = model.store.n_params()
+        assert n_params > 2_000_000
+        tau = float(np.median(-flows.log_prob(model, contrastive)))
+        cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, clamp_tau=tau,
+                          val_fraction=0.2, seed=0, objective=objective)
+        tracemalloc.start()
+        try:
+            train(model, inliers, contrastive, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two Adam moments of a phase are not its working memory
+        assert peak - 2 * 8 * n_params < 3 * 8 * n_params, objective
+
+
+def fit_leaves_behind(fit) -> int:
+    """The traced bytes that a second call of fit() leaves allocated once
+    its result is dropped; the first call warms caches of first use."""
+    fit()
+    gc.collect()
     tracemalloc.start()
     try:
-        train(model, inliers, contrastive, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        base = tracemalloc.get_traced_memory()[0]
+        fit()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # the two Adam moments, which the fit allocates at its first step and
-    # releases when it returns, are not its working memory
-    assert peak - 2 * 8 * n_params < 3 * 8 * n_params
-
-
-def holds_no_moments(store):
-    return "m" not in vars(store) and "v" not in vars(store) and store.step == 0
 
 
 @pytest.mark.parametrize("objective", ["nll", "contrastive", "cf_ft"])
 def test_a_fit_releases_its_moments_when_it_returns(objective):
+    # a fitted model holds only its parameters: what a fit of 8.8 k
+    # parameters leaves is far below one moment array
     rng = np.random.default_rng(0)
-    model = small_model(dim=2, seed=1)
+    inliers, contrastive = rng.standard_normal((20, 2)), 1.5 * rng.standard_normal((20, 2))
+    model = small_model(dim=2, seed=1, hidden=64)
     cfg = TrainConfig(batch_size=8, max_epochs=2, objective=objective, clamp_tau=4.0)
-    train(model, rng.standard_normal((20, 2)), 1.5 * rng.standard_normal((20, 2)), cfg)
-    assert holds_no_moments(model.store)
+    left = fit_leaves_behind(lambda: train(model, inliers, contrastive, cfg))
+    assert left < 0.25 * 8 * model.store.n_params()
 
 
 def test_a_fit_releases_its_moments_when_it_raises(monkeypatch):
-    # the second step raises, after the first has allocated the moments
+    # the second step raises, after the first has stepped the moments; once
+    # the exception is dropped, traced memory is back to its level before
+    # the fit
     real_step = training.adam_step
-    allocated = []
+    steps = []
 
-    def failing_step(store, grads, lr):
-        real_step(store, grads, lr)
-        allocated.append("m" in vars(store) and "v" in vars(store))
-        if store.step == 2:
+    def failing_step(store, grads, lr, state):
+        real_step(store, grads, lr, state)
+        steps.append(state.step)
+        if state.step == 2:
             raise NumericError("second step")
 
     monkeypatch.setattr(training, "adam_step", failing_step)
-    model = small_model(dim=2, seed=1)
+    model = small_model(dim=2, seed=1, hidden=64)
+    x = np.random.default_rng(0).standard_normal((12, 2))
     cfg = TrainConfig(batch_size=4, max_epochs=1, objective="nll")
-    with pytest.raises(NumericError, match="second step"):
-        train(model, np.random.default_rng(0).standard_normal((12, 2)), cfg=cfg)
-    assert allocated == [True, True]
-    assert holds_no_moments(model.store)
+
+    def failing_fit():
+        with pytest.raises(NumericError, match="second step"):
+            train(model, x, cfg=cfg)
+
+    left = fit_leaves_behind(failing_fit)
+    assert steps == [1, 2, 1, 2]
+    assert left < 0.25 * 8 * model.store.n_params()
 
 
 def test_a_second_fit_starts_adam_afresh():
@@ -205,12 +228,14 @@ def test_a_second_fit_starts_adam_afresh():
 
 
 def test_a_fit_starts_adam_afresh_after_a_direct_step():
-    # one adam_step on a model's store outside any fit: a train call then
-    # steps like the same call on a new model that holds its parameters
+    # one adam_step on a model's store outside any fit, with a state of
+    # its own: a train call then steps like the same call on a new model
+    # that holds its parameters
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 3))
     stepped = small_model(dim=3, seed=4)
-    adam_step(stepped.store, nll_objective(stepped, x)[1], 1e-2)
+    adam_step(stepped.store, nll_objective(stepped, x)[1], 1e-2,
+              AdamState(stepped.store.n_params()))
     fresh = small_model(dim=3, seed=4)
     fresh.store.params.flat[...] = stepped.store.params.flat
     cfg = TrainConfig(batch_size=8, max_epochs=1, objective="nll", val_fraction=0.0)
@@ -393,6 +418,7 @@ def test_steps_in_one_warm_workspace_match_fresh_workspaces(dim, hidden, n_block
     perturb(model, seed=seed)
     rng = np.random.default_rng(seed)
     workspace = flows.Workspace(model, rows, cached=True)
+    state = AdamState(model.store.n_params())
     for n in (rows, min(short, rows), rows):
         pos, neg = rng.standard_normal((n, dim)), 2.0 * rng.standard_normal((rows, dim))
         if objective == "nll":
@@ -406,7 +432,7 @@ def test_steps_in_one_warm_workspace_match_fresh_workspaces(dim, hidden, n_block
         assert not np.shares_memory(got[1].flat, want[1].flat)
         assert np.array_equal(got[1].flat, want[1].flat)
         # the parameters move between steps, as in a fit
-        adam_step(model.store, got[1], 1e-2)
+        adam_step(model.store, got[1], 1e-2, state)
 
 
 def test_a_warm_contrastive_step_allocates_no_batch_by_width_array():
@@ -421,10 +447,11 @@ def test_a_warm_contrastive_step_allocates_no_batch_by_width_array():
     pos, neg = rng.standard_normal((batch, 8)), 2.0 * rng.standard_normal((batch, 8))
     tau = _tau_leaving("some", model, neg)
     workspace = flows.Workspace(model, batch, cached=True)
+    state = AdamState(model.store.n_params())
 
     def step():
         loss, grads = contrastive_objective(model, pos, neg, tau, workspace=workspace)
-        adam_step(model.store, grads, 1e-3)
+        adam_step(model.store, grads, 1e-3, state)
         return grads
 
     step()
